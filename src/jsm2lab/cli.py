@@ -538,12 +538,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except Jsm2LabError as exc:
+        # bad configuration, including values the parser let through that a
+        # computation then refused
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

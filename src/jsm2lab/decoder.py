@@ -16,15 +16,24 @@ the true support is not typical from the event that at least one incorrect
 candidate is typical; their union is the quantity the closed-form bounds
 control.
 
-Residuals are computed through an orthonormal-basis (Householder)
-factorization of each block, never through an explicit Gram-matrix inverse.
-The factorization is vectorized over candidates so the exhaustive sweep
-stays a handful of array operations per chunk of supports.
+Residuals come from modified Gram-Schmidt (MGS) on the augmented matrix
+[F^s_J y^s], never from a Gram-matrix inverse: each pivot column in turn is
+removed from every later column and from y. The norms of the deflated
+pivot columns are the factor diagonal |R_jj|, and the rank test requires
+the smallest above RANK_TOL times the largest.
+
+The exhaustive decoder shares that work across candidates. In lexicographic
+order a candidate's first K-1 columns are shared by all of its siblings, so
+each prefix is deflated once: its state is the columns after its last index
+and y, with the prefix's span projected out, plus the running extremes of
+its pivots. Extending a prefix by one column costs one more deflation of
+the columns that follow. The walk goes depth-first over index tables cached
+per (N, K), in bounded chunks of sibling groups, and scores each leaf chunk
+as a handful of array operations.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -87,49 +96,46 @@ class DecodeOutcome:
     decode_error: Optional[bool] = None
 
 
-# ---- Vectorized residual core ------------------------------------------
+# ---- Modified Gram-Schmidt core -----------------------------------------
+#
+# Every array below keeps the measurement rows on axis 0.
 
 
-def _residual_core(work: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Householder sweep over a (m, k+1, batch) buffer, in place.
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """Squared column norms of v, reduced over the row axis 0."""
+    return np.einsum("i...,i...->...", v, v)
 
-    Columns 0..k-1 hold the sensing blocks, column k holds the measurement
-    vector. Returns (residual energies, rank-ok flags), each of length
-    batch. The residual is the squared norm of the measurement rows below
-    the triangular block, which equals ||y||^2 - ||basis^T y||^2 for the
-    orthonormal basis of the block's column span.
+
+def _pivots(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Norms |R_jj| of the pivot columns v, and the divisors that deflate by them.
+
+    The divisors are the squared norms with zeros replaced by 1: a zero
+    column has no direction, so deflating by it is the identity.
     """
-    m = work.shape[0]
-    batch = work.shape[2]
-    diag = np.empty((k, batch))
-    for j in range(k):
-        x = work[j:, j, :]
-        alpha = -np.copysign(np.sqrt(np.einsum("ib,ib->b", x, x)), x[0])
-        v = x.copy()
-        v[0] -= alpha
-        vn2 = np.einsum("ib,ib->b", v, v)
-        vn2[vn2 == 0.0] = 1.0  # zero column: reflection degenerates to identity
-        scale = 2.0 / vn2
-        for c in range(j + 1, k + 1):
-            col = work[j:, c, :]
-            col -= (scale * np.einsum("ib,ib->b", v, col)) * v
-        diag[j] = alpha
-    if m > k:
-        tail = work[k:, k, :]
-        resid = np.einsum("ib,ib->b", tail, tail)
-    else:
-        resid = np.zeros(batch)
-    np.maximum(resid, 0.0, out=resid)
-    mags = np.abs(diag)
-    rank_ok = mags.min(axis=0) > RANK_TOL * mags.max(axis=0)
-    return resid, rank_ok
+    sq = _sq_norms(v)
+    return np.sqrt(sq), np.where(sq > 0.0, sq, 1.0)
+
+
+def _deflate(cols: np.ndarray, v: np.ndarray, div: np.ndarray) -> None:
+    """One MGS step in place: remove from cols their components along v."""
+    coef = np.einsum("i...,i...->...", v, cols)
+    coef /= div
+    cols -= v * coef
+
+
+def _rank_ok(pivot_min: np.ndarray, pivot_max: np.ndarray) -> np.ndarray:
+    """Full column rank: the smallest pivot |R_jj| above RANK_TOL times the largest."""
+    return pivot_min > RANK_TOL * pivot_max
 
 
 def residual_energies(blocks: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Residual energies for a stack of (m, k) blocks and length-m vectors.
 
     blocks has shape (..., m, k) and ys shape (..., m); returns arrays of
-    shape (...) with the residual energies and the rank-ok flags.
+    shape (...) with the residual energies and the rank-ok flags. Modified
+    Gram-Schmidt on the augmented matrix [block y] deflates every later
+    column by each pivot in turn; the residual is the squared norm of the
+    fully deflated y and the pivots are the deflated column norms |R_jj|.
     """
     blocks = np.asarray(blocks, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -143,17 +149,23 @@ def residual_energies(blocks: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, n
     work = np.empty((m, k + 1, batch))
     work[:, :k, :] = blocks.reshape(batch, m, k).transpose(1, 2, 0)
     work[:, k, :] = ys.reshape(batch, m).T
-    resid, rank_ok = _residual_core(work, k)
+    pivots = np.empty((k, batch))
+    for j in range(k):
+        pivots[j], div = _pivots(work[:, j])
+        for c in range(j + 1, k + 1):
+            _deflate(work[:, c], work[:, j], div)
+    resid = _sq_norms(work[:, k])
+    rank_ok = _rank_ok(pivots.min(axis=0), pivots.max(axis=0))
     return resid.reshape(lead), rank_ok.reshape(lead)
 
 
 def projection_residual(f_block: np.ndarray, y: np.ndarray) -> float:
     """Energy of y left after projecting onto the column span of f_block.
 
-    Computed as ||y||^2 - ||basis^T y||^2 through a Householder
-    factorization and clamped at zero against round-off. Raises
+    Computed as the squared norm of y after modified Gram-Schmidt deflation
+    by every column of f_block, so no Gram matrix is formed. Raises
     RankDeficientError when the numerical column rank is below k (smallest
-    factor diagonal under RANK_TOL times the largest).
+    deflated column norm under RANK_TOL times the largest).
     """
     f_block = np.asarray(f_block, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -167,7 +179,7 @@ def projection_residual(f_block: np.ndarray, y: np.ndarray) -> float:
     resid, rank_ok = residual_energies(f_block[None], y[None])
     if not rank_ok[0]:
         raise RankDeficientError("sensing block is numerically rank-deficient")
-    return float(max(resid[0], 0.0))
+    return float(resid[0])
 
 
 # ---- Typicality and decoding -------------------------------------------
@@ -211,23 +223,115 @@ def typicality_stat(
     return TypicalityStat(value, centered, threshold, bool(rank_ok.all()))
 
 
-@lru_cache(maxsize=6)
-def _all_supports(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """All size-k subsets of range(n) in lexicographic order.
+@dataclass(frozen=True)
+class _Level:
+    """Index tables of one level of the prefix tree, in lexicographic order.
 
-    Returns (supports, supports_t) where supports is (C, k) and supports_t
-    is its contiguous (k, C) transpose used for gathered indexing. Both are
-    read-only.
+    Level l lists every pair (p, c) of an extendable prefix p of length l-1
+    (one that starts some size-k support) and a column c after p's last
+    index; the pair is the length-l prefix p + (c,). col holds c, par the
+    position of p in level l-1, unc the position in level l-1 of
+    p[:-1] + (c,) (unused on level 1), and child_off the children of entry
+    i as the entries child_off[i]:child_off[i+1] of level l+1 (None on the
+    last level, whose entries are the candidate supports).
     """
-    supports = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-        dtype=np.intp,
-        count=math.comb(n, k) * k,
-    ).reshape(-1, k)
-    supports_t = np.ascontiguousarray(supports.T)
-    supports.setflags(write=False)
-    supports_t.setflags(write=False)
-    return supports, supports_t
+
+    col: np.ndarray
+    par: np.ndarray
+    unc: np.ndarray
+    child_off: Optional[np.ndarray]
+
+
+@lru_cache(maxsize=6)
+def _prefix_tables(n: int, k: int) -> Tuple[_Level, ...]:
+    """Levels 1..k of the prefix tree over size-k subsets of range(n)."""
+    col = np.arange(n)
+    par = np.zeros(n, dtype=np.intp)
+    unc = par
+    levels = []
+    for depth in range(1, k):
+        # an entry extends to a size-k support only if k - depth columns follow it
+        counts = np.where(col <= n - k + depth - 1, n - 1 - col, 0)
+        off = np.zeros(col.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=off[1:])
+        levels.append(_Level(col, par, unc, off))
+        par = np.repeat(np.arange(col.size), counts)
+        col = np.arange(off[-1]) - off[par] + col[par] + 1
+        unc = par + col - levels[-1].col[par]
+    levels.append(_Level(col, par, unc, None))
+    for level in levels:
+        for a in (level.col, level.par, level.unc, level.child_off):
+            if a is not None:
+                a.setflags(write=False)
+    return tuple(levels)
+
+
+def _chunks(off: np.ndarray, lo: int, hi: int):
+    """Cut the children of entries lo..hi-1 into runs of whole sibling groups.
+
+    Each run holds at most _SUPPORT_CHUNK children, or the children of a
+    single entry when that entry alone has more.
+    """
+    while lo < hi:
+        end = hi
+        if off[hi] - off[lo] > _SUPPORT_CHUNK:
+            end = max(int(np.searchsorted(off, off[lo] + _SUPPORT_CHUNK, side="right")) - 1, lo + 1)
+        if off[end] > off[lo]:
+            yield int(off[lo]), int(off[end])
+        lo = end
+
+
+def _walk(levels, depth, lo, v, ry, pivot_min, pivot_max, pidx):
+    """Residual energies and rank flags of the candidates below a block of prefixes.
+
+    The block is entries lo, lo+1, ... of level depth. v (m, s, b) holds,
+    for each prefix x, column x[-1] of every sensing matrix with the span of
+    x[:-1] projected out; its norms are the pivots |R_jj| of x[-1]. ry
+    (m, s, p), pivot_min and pivot_max (s, p) hold the deflated measurements
+    and the running pivot extremes of the parent prefixes, and pidx maps each
+    prefix of the block to its parent. Yields (first candidate index, values
+    summed over vectors, rank-ok flags) chunk by chunk in lexicographic order.
+    """
+    norms, div = _pivots(v)
+    pivot_min = np.minimum(pivot_min.take(pidx, axis=1), norms)
+    pivot_max = np.maximum(pivot_max.take(pidx, axis=1), norms)
+    ry = ry.take(pidx, axis=2)
+    _deflate(ry, v, div)
+    if depth == len(levels):
+        yield lo, _sq_norms(ry).sum(axis=0), _rank_ok(pivot_min, pivot_max).all(axis=0)
+        return
+    hi = lo + v.shape[2]
+    nxt = levels[depth]
+    for c_lo, c_hi in _chunks(levels[depth - 1].child_off, lo, hi):
+        cpar = nxt.par[c_lo:c_hi] - lo
+        child = v.take(nxt.unc[c_lo:c_hi] - lo, axis=2)
+        _deflate(child, v.take(cpar, axis=2), div.take(cpar, axis=1))
+        yield from _walk(levels, depth + 1, c_lo, child, ry, pivot_min, pivot_max, cpar)
+
+
+def _candidate_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
+    """Residual energies and rank flags of every size-k support.
+
+    matrices is (s, m, n) and measurements (s, m). Yields (first candidate
+    index, values summed over the s vectors, rank-ok flags) chunk by chunk,
+    in lexicographic order of the supports.
+    """
+    s, _, n = matrices.shape
+    ft = np.ascontiguousarray(matrices.transpose(1, 0, 2))  # level 1: raw columns
+    root = measurements.T[:, :, None]  # the empty prefix deflates nothing
+    # and has no pivots: running min +inf, running max 0
+    pivot_min, pivot_max = np.full((s, 1), np.inf), np.zeros((s, 1))
+    levels = _prefix_tables(n, k)
+    return _walk(levels, 1, 0, ft, root, pivot_min, pivot_max, np.zeros(n, dtype=np.intp))
+
+
+def _support_at(levels: Tuple[_Level, ...], i: int) -> Tuple[int, ...]:
+    """The candidate support at position i of the last level."""
+    out = []
+    for level in reversed(levels):
+        out.append(int(level.col[i]))
+        i = int(level.par[i])
+    return tuple(reversed(out))
 
 
 def _lex_rank(indices: Tuple[int, ...], n: int) -> int:
@@ -272,7 +376,7 @@ def decode(
         )
     if delta is None:
         delta = params.delta
-    if delta < 0:
+    if not delta >= 0:
         raise InvalidRangeError(f"delta must be >= 0, got {delta}")
     total = math.comb(n, k)
     if total > enumeration_cap:
@@ -280,28 +384,16 @@ def decode(
             f"C({n},{k}) = {total} exceeds enumeration cap {enumeration_cap}"
         )
 
-    supports, supports_t = _all_supports(n, k)
-    ft = np.ascontiguousarray(f.matrices.transpose(1, 2, 0))  # (m, n, s)
-    yt = np.ascontiguousarray(y.measurements.T)  # (m, s)
     center = s * (m - k) * params.sigma2
     threshold = s * m * delta
 
-    chunk = min(total, _SUPPORT_CHUNK)
-    work = np.empty((m, k + 1, chunk * s))
     num_typical = 0
     best_abs = math.inf
     best_idx = -1
     i_true = _lex_rank(true_support.indices, n) if true_support is not None else -1
     true_typical = False
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        c = hi - lo
-        view = work[:, :, : c * s].reshape(m, k + 1, c, s)
-        view[:, :k] = ft[:, supports_t[:, lo:hi], :]
-        view[:, k] = yt[:, None, :]
-        resid, rank_ok = _residual_core(work[:, :, : c * s], k)
-        value = resid.reshape(c, s).sum(axis=1)
-        ok = rank_ok.reshape(c, s).all(axis=1)
+    for lo, value, ok in _candidate_scores(f.matrices, y.measurements, k):
+        hi = lo + value.size
         abs_centered = np.abs(value - center)
         typical = ok & (abs_centered < threshold)
         num_typical += int(typical.sum())
@@ -312,13 +404,14 @@ def decode(
             local = cand[np.argmin(abs_centered[cand])]
             cand_abs = float(abs_centered[local])
             cand_idx = lo + int(local)
-            if cand_abs < best_abs or (cand_abs == best_abs and cand_idx < best_idx):
+            # chunks arrive in lexicographic order: a strict < keeps the earliest tie
+            if cand_abs < best_abs:
                 best_abs = cand_abs
                 best_idx = cand_idx
 
     decoded = None
     if best_idx >= 0:
-        decoded = SupportSet(tuple(int(v) for v in supports[best_idx]), n)
+        decoded = SupportSet(_support_at(_prefix_tables(n, k), best_idx), n)
 
     if true_support is None:
         return DecodeOutcome(decoded)

@@ -208,7 +208,11 @@ class ProblemParams:
     def __post_init__(self):
         for name in ("n", "k", "m", "s"):
             val = getattr(self, name)
-            if int(val) != val or val < 1:
+            try:
+                whole = int(val) == val
+            except (OverflowError, ValueError):  # inf or nan
+                whole = False
+            if not whole or val < 1:
                 raise InvalidParameterError(f"{name} must be a positive integer, got {val}")
             object.__setattr__(self, name, int(val))
         if not self.k < self.m <= self.n:

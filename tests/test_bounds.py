@@ -333,7 +333,8 @@ class TestCorollary3:
         c2 = math.comb(32, 3) + 2
         floor = math.log(c2) * 2.0 / abs(1.0 - 0.5 - math.log(2.0))
         # as epsilon -> 1 the log(1/epsilon) term dies but the union count stays
-        assert vals[-1] > 0.0
+        assert vals[-1] > floor
+        assert vals[-1] >= corollary3_S_bound_high_snr(self.P, 0.999)
 
     def test_decreasing_in_snr_down_to_limit(self):
         vals = []

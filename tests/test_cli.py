@@ -207,6 +207,16 @@ class TestCommands:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_exit_code_2_on_inadmissible_delta(self, capsys):
+        # the parser accepts any delta >= 0; the bound formulas refuse this one
+        rc = main(
+            ["bounds", "--n", "8", "--k", "2", "--m", "4", "--s", "1",
+             "--snr", "10", "--delta", "5"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_exit_code_4_on_budget(self, capsys):
         rc = main(
             ["simulate", "--n", "40", "--k", "10", "--m", "20", "--s", "1",

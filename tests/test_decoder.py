@@ -195,6 +195,13 @@ class TestDecode:
             assert out.event_failure == ref[3]
             assert out.decode_error == ref[4]
 
+    def test_nan_delta_rejected(self):
+        # NaN fails every comparison, so it must not reach the typicality test
+        # and be tallied as "nothing typical"
+        sup, x, f, y, p = _instance(6, 2, 4, 2, 1.0, 4.0)
+        with pytest.raises(InvalidRangeError):
+            decode(y, f, p, true_support=sup, delta=math.nan)
+
     def test_without_true_support_flags_are_none(self):
         sup, x, f, y, p = _instance(6, 2, 4, 2, 1.0, 4.0)
         out = decode(y, f, p)

@@ -260,6 +260,11 @@ class TestProblemParams:
         with pytest.raises(InvalidParameterError):
             ProblemParams(n=4, k=2, m=5, s=1, sigma2=1.0, xmin2=1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5, 0])
+    def test_dimensions_must_be_positive_integers(self, bad):
+        with pytest.raises(InvalidParameterError):
+            ProblemParams(n=bad, k=2, m=4, s=1, sigma2=1.0, xmin2=1.0)
+
     def test_sigma2_positive(self):
         with pytest.raises(InvalidParameterError):
             ProblemParams(n=8, k=2, m=4, s=1, sigma2=0.0, xmin2=1.0)

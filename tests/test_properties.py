@@ -2,10 +2,18 @@
 
 import math
 
-from hypothesis import given, settings
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jsm2lab import ProblemParams
+from jsm2lab import (
+    MeasurementEnsemble,
+    ProblemParams,
+    SensingEnsemble,
+    SupportSet,
+    decode,
+)
 from jsm2lab.bounds import (
     fano_lower_value,
     log_binom,
@@ -14,8 +22,10 @@ from jsm2lab.bounds import (
     t_value,
     upper_bound_perr,
 )
+from jsm2lab.decoder import _candidate_scores
 from jsm2lab.montecarlo import trend_residual, wilson_interval
 from jsm2lab.quadstats import QuadFormSpec, z_J_moments
+from oracles import brute_force_decode, brute_force_stats
 
 
 @st.composite
@@ -106,3 +116,89 @@ def test_spec_moments_match_closed_form(alphas, m):
 def test_trend_residual_zero_iff_sorted_down(values):
     ordered = sorted(values, reverse=True)
     assert trend_residual(ordered) <= 1e-12
+
+
+# ---- decode against the dense reference, K up to 4 -------------------------
+
+BOUNDARY_TOL = 1e-9
+
+
+@st.composite
+def decode_instance(draw):
+    """A small instance, possibly with a duplicated or an all-zero column."""
+    k = draw(st.sampled_from([1, 2, 3, 4]))
+    n = draw(st.integers(k + 1, 9))
+    m = draw(st.integers(k + 1, n))
+    s = draw(st.integers(1, 3))
+    sigma2 = draw(st.sampled_from([0.01, 0.3, 1.0]))
+    flaw = draw(st.sampled_from(["none", "duplicate", "zero"]))
+    delta = draw(st.sampled_from([None, 0.0, math.inf]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((s, m, n))
+    i, j = sorted(rng.choice(n, size=2, replace=False))
+    if flaw == "duplicate":
+        f[:, :, j] = f[:, :, i]
+    elif flaw == "zero":
+        f[:, :, j] = 0.0
+    support = tuple(int(v) for v in np.sort(rng.choice(n, size=k, replace=False)))
+    x = np.zeros((s, n))
+    x[:, support] = rng.choice([-1.0, 1.0], size=(s, k)) * rng.uniform(1.0, 2.0, size=(s, k))
+    y = np.einsum("smn,sn->sm", f, x) + math.sqrt(sigma2) * rng.standard_normal((s, m))
+    params = ProblemParams(n=n, k=k, m=m, s=s, sigma2=sigma2, xmin2=1.0, delta_override=delta)
+    return params, f, y, support
+
+
+def near_boundary(rows, threshold):
+    """True when the decision sits within round-off of a boundary.
+
+    The boundaries are the threshold and the runner-up's score. An exact
+    tie counts too: with a duplicated column, equal spans are scored from
+    different column orders, so the two decoders may split them in the
+    last bit.
+    """
+    tol = BOUNDARY_TOL * max([1.0] + [abs(c) for _, _, c, _ in rows])
+    best = sorted(abs(c) for _, _, c, typical in rows if typical)[:2]
+    if len(best) == 2 and best[1] - best[0] < tol:
+        return True
+    return any(abs(abs(c) - threshold) < tol for _, _, c, _ in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=decode_instance())
+def test_decode_matches_dense_reference(inst):
+    params, f, y, support = inst
+    rows = brute_force_stats(y, f, params.sigma2, params.k, params.delta)
+    assume(not near_boundary(rows, params.s * params.m * params.delta))
+    out = decode(
+        MeasurementEnsemble(y, params.sigma2),
+        SensingEnsemble(f),
+        params,
+        true_support=SupportSet(support, params.n),
+    )
+    ref = brute_force_decode(y, f, params.sigma2, params.k, params.delta, support)
+    decoded = out.decoded.indices if out.decoded is not None else None
+    assert (decoded, out.correct_typical, out.num_incorrect_typical,
+            out.event_failure, out.decode_error) == ref
+
+
+def test_every_candidate_matches_dense_rows():
+    # N=10, K=4 walks three internal prefix levels; one duplicated column
+    # makes some blocks rank-deficient
+    n, k, m, s = 10, 4, 6, 2
+    rng = np.random.default_rng(2024)
+    f = rng.standard_normal((s, m, n))
+    f[1, :, 7] = f[1, :, 3]
+    y = rng.standard_normal((s, m))
+    values = np.empty(math.comb(n, k))
+    rank_ok = np.empty(values.size, dtype=bool)
+    for lo, value, ok in _candidate_scores(f, y, k):
+        values[lo : lo + value.size] = value
+        rank_ok[lo : lo + value.size] = ok
+    # with an infinite slack a candidate is typical exactly when it has full rank
+    rows = brute_force_stats(y, f, 1.0, k, math.inf)
+    assert [r[3] for r in rows] == rank_ok.tolist()
+    assert 0 < int((~rank_ok).sum()) < values.size
+    for (_, value, _, _), got, ok in zip(rows, values, rank_ok):
+        if ok:
+            assert got == pytest.approx(value, rel=1e-9, abs=1e-12)
