@@ -35,7 +35,7 @@ def main():
     print("support     stat      centered  typical")
     rows = []
     for j in itertools.combinations(range(N), K):
-        st = typicality_stat(SupportSet(j, N), y, f, params.delta)
+        st = typicality_stat(SupportSet(j, N), y, f, params)
         rows.append((j, st))
     for j, st in sorted(rows, key=lambda r: abs(r[1].centered)):
         marker = " <-- true" if j == sup.indices else ""

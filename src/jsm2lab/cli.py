@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -546,7 +547,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # computation then refused
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,7 +45,6 @@ from .ensemble import MeasurementEnsemble, ProblemParams, SensingEnsemble, Suppo
 from .errors import (
     EnumerationBudgetError,
     InvalidDimensionError,
-    InvalidParameterError,
     InvalidRangeError,
     RankDeficientError,
 )
@@ -75,7 +74,7 @@ class TypicalityStat:
 
     @property
     def typical(self) -> bool:
-        return bool(self.rank_ok and abs(self.centered) < self.threshold)
+        return bool(_typical(self.rank_ok, abs(self.centered), self.threshold))
 
 
 @dataclass(frozen=True)
@@ -185,42 +184,57 @@ def projection_residual(f_block: np.ndarray, y: np.ndarray) -> float:
 # ---- Typicality and decoding -------------------------------------------
 
 
-def default_delta(params: ProblemParams) -> float:
-    """Canonical typicality slack (1/rho) * (1 - K/M) * xmin2."""
-    if not params.rho > 1:
-        raise InvalidParameterError(f"rho must be > 1, got {params.rho}")
-    return (1.0 / params.rho) * (1.0 - params.k / params.m) * params.xmin2
+def _check_shapes(y: MeasurementEnsemble, f: SensingEnsemble, params: ProblemParams) -> None:
+    """Require S matrices of shape M x N and S measurement vectors of length M."""
+    s, m, n = params.s, params.m, params.n
+    if f.matrices.shape != (s, m, n) or y.measurements.shape != (s, m):
+        raise InvalidDimensionError(
+            f"matrices {f.matrices.shape} and measurements {y.measurements.shape} "
+            f"do not match params (s={s}, m={m}, n={n})"
+        )
+
+
+def _window(params: ProblemParams, delta: Optional[float]) -> Tuple[float, float]:
+    """Center S(M-K) sigma2 and half-width S*M*delta of the typicality window.
+
+    delta defaults to params.delta; 0 and +inf are honored, NaN and negatives are not.
+    """
+    if delta is None:
+        delta = params.delta
+    if not delta >= 0:
+        raise InvalidRangeError(f"delta must be >= 0, got {delta}")
+    s, m = params.s, params.m
+    return s * (m - params.k) * params.sigma2, s * m * delta
+
+
+def _typical(rank_ok, abs_centered, threshold):
+    """The typicality test: full column rank and |centered| strictly inside the window."""
+    return rank_ok & (abs_centered < threshold)
 
 
 def typicality_stat(
     j: SupportSet,
     y: MeasurementEnsemble,
     f: SensingEnsemble,
-    delta: float,
+    params: ProblemParams,
+    delta: Optional[float] = None,
 ) -> TypicalityStat:
-    """Evaluate the typicality statistic of candidate support j.
+    """Evaluate the typicality test decode applies to candidate support j.
 
-    The centered value subtracts the projected-noise expectation
-    S(M-K) sigma2 (sigma2 taken from the measurements) and the threshold is
-    S*M*delta. A rank-deficient block marks the stat not typical while the
-    value is still reported.
+    The value is scored by decode's own core on the K columns of j; the
+    centered value subtracts S(M-K) params.sigma2 and the threshold is
+    S*M*delta (params.delta when not overridden). A rank-deficient block
+    marks the stat not typical while the value is still reported.
     """
-    if not delta > 0:
-        raise InvalidRangeError(f"delta must be > 0, got {delta}")
-    s, m = y.num_vectors, y.num_rows
-    k = j.size
-    if not k < m:
-        raise InvalidDimensionError(f"candidate size K={k} must be below M={m}")
-    if f.num_vectors != s or f.num_rows != m:
+    _check_shapes(y, f, params)
+    if j.size != params.k or j.ambient_dim != params.n:
         raise InvalidDimensionError(
-            f"matrices {f.matrices.shape} do not match measurements {y.measurements.shape}"
+            f"candidate {j.indices} (n={j.ambient_dim}) does not match k={params.k}, n={params.n}"
         )
-    blocks = f.matrices[:, :, j.as_array()]
-    resid, rank_ok = residual_energies(blocks, y.measurements)
-    value = float(resid.sum())
-    centered = value - s * (m - k) * y.noise_var
-    threshold = s * m * delta
-    return TypicalityStat(value, centered, threshold, bool(rank_ok.all()))
+    center, threshold = _window(params, delta)
+    columns = f.matrices[:, :, j.as_array()]
+    _, value, ok = next(_candidate_scores(columns, y.measurements, j.size))
+    return TypicalityStat(float(value[0]), float(value[0] - center), threshold, bool(ok[0]))
 
 
 @dataclass(frozen=True)
@@ -365,27 +379,14 @@ def decode(
     Raises EnumerationBudgetError before any work when C(N, K) exceeds
     enumeration_cap.
     """
-    n, k, m, s = params.n, params.k, params.m, params.s
-    if f.ambient_dim != n or f.num_rows != m or f.num_vectors != s:
-        raise InvalidDimensionError(
-            f"matrices {f.matrices.shape} do not match params (s={s}, m={m}, n={n})"
-        )
-    if y.num_vectors != s or y.num_rows != m:
-        raise InvalidDimensionError(
-            f"measurements {y.measurements.shape} do not match params (s={s}, m={m})"
-        )
-    if delta is None:
-        delta = params.delta
-    if not delta >= 0:
-        raise InvalidRangeError(f"delta must be >= 0, got {delta}")
+    _check_shapes(y, f, params)
+    center, threshold = _window(params, delta)
+    n, k = params.n, params.k
     total = math.comb(n, k)
     if total > enumeration_cap:
         raise EnumerationBudgetError(
             f"C({n},{k}) = {total} exceeds enumeration cap {enumeration_cap}"
         )
-
-    center = s * (m - k) * params.sigma2
-    threshold = s * m * delta
 
     num_typical = 0
     best_abs = math.inf
@@ -395,7 +396,7 @@ def decode(
     for lo, value, ok in _candidate_scores(f.matrices, y.measurements, k):
         hi = lo + value.size
         abs_centered = np.abs(value - center)
-        typical = ok & (abs_centered < threshold)
+        typical = _typical(ok, abs_centered, threshold)
         num_typical += int(typical.sum())
         if lo <= i_true < hi:
             true_typical = bool(typical[i_true - lo])
@@ -424,28 +425,3 @@ def decode(
         decode_error=decoded != true_support,
     )
 
-
-def ls_estimate(
-    j: SupportSet,
-    y: MeasurementEnsemble,
-    f: SensingEnsemble,
-) -> np.ndarray:
-    """Per-vector least-squares coefficients on candidate support j.
-
-    Returns an (S, K) array where row s solves min_z ||y^s - F^s_J z||^2.
-    Raises RankDeficientError when any block has column rank below K.
-    """
-    s, m = y.num_vectors, y.num_rows
-    if f.num_vectors != s or f.num_rows != m:
-        raise InvalidDimensionError(
-            f"matrices {f.matrices.shape} do not match measurements {y.measurements.shape}"
-        )
-    cols = j.as_array()
-    out = np.empty((s, j.size))
-    for si in range(s):
-        block = f.matrices[si][:, cols]
-        sol, _, rank, _ = np.linalg.lstsq(block, y.measurements[si], rcond=None)
-        if rank < j.size:
-            raise RankDeficientError(f"block for vector {si} has rank {rank} < {j.size}")
-        out[si] = sol
-    return out

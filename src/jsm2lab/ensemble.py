@@ -17,10 +17,9 @@ support index.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -35,11 +34,12 @@ AMPLITUDE_FIXED = "fixed"
 AMPLITUDE_UNIFORM = "uniform"
 AMPLITUDE_MODES = (AMPLITUDE_FIXED, AMPLITUDE_UNIFORM)
 
-SNAPSHOT_FORMAT = "jsm2lab-triplet-csv-1"
 
-
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a: np.ndarray, what: str) -> np.ndarray:
+    """A read-only float copy of a; NaN or infinite entries are rejected."""
     out = np.array(a, dtype=float, copy=True)
+    if not np.isfinite(out).all():
+        raise InvalidParameterError(f"{what} must be finite")
     out.setflags(write=False)
     return out
 
@@ -101,7 +101,7 @@ class SparseEnsemble:
     x_min_sq: Optional[float] = None
 
     def __post_init__(self):
-        v = _readonly(np.atleast_2d(self.vectors))
+        v = _readonly(np.atleast_2d(self.vectors), "vectors")
         if v.ndim != 2:
             raise InvalidDimensionError("vectors must be a (S, N) array")
         if v.shape[1] != self.support.ambient_dim:
@@ -140,7 +140,7 @@ class SensingEnsemble:
     matrices: np.ndarray
 
     def __post_init__(self):
-        m = _readonly(self.matrices)
+        m = _readonly(self.matrices, "matrices")
         if m.ndim != 3:
             raise InvalidDimensionError("matrices must be a (S, M, N) array")
         if m.shape[0] < 1:
@@ -152,37 +152,21 @@ class SensingEnsemble:
         return self.matrices.shape[0]
 
     @property
-    def num_rows(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
     def ambient_dim(self) -> int:
         return self.matrices.shape[2]
 
 
 @dataclass(frozen=True)
 class MeasurementEnsemble:
-    """S length-M measurement vectors plus the noise variance that made them."""
+    """S length-M measurement vectors; their noise variance is ProblemParams.sigma2."""
 
     measurements: np.ndarray
-    noise_var: float
 
     def __post_init__(self):
-        y = _readonly(np.atleast_2d(self.measurements))
+        y = _readonly(np.atleast_2d(self.measurements), "measurements")
         if y.ndim != 2:
             raise InvalidDimensionError("measurements must be a (S, M) array")
-        if self.noise_var < 0:
-            raise InvalidRangeError(f"noise_var must be >= 0, got {self.noise_var}")
         object.__setattr__(self, "measurements", y)
-        object.__setattr__(self, "noise_var", float(self.noise_var))
-
-    @property
-    def num_vectors(self) -> int:
-        return self.measurements.shape[0]
-
-    @property
-    def num_rows(self) -> int:
-        return self.measurements.shape[1]
 
 
 @dataclass(frozen=True)
@@ -190,7 +174,7 @@ class ProblemParams:
     """Dimensions and signal/noise levels of one recovery problem.
 
     Requires K < M <= N (every closed-form quantity divides by M - K) and
-    strictly positive sigma2 and xmin2. The typicality slack defaults to
+    finite, strictly positive sigma2 and xmin2. The typicality slack defaults to
     delta = (1/rho) * (1 - K/M) * xmin2 and can be overridden through
     delta_override (0 and +inf are allowed there for decoder studies; the
     bound formulas reject inadmissible values themselves).
@@ -219,10 +203,10 @@ class ProblemParams:
             raise InvalidParameterError(
                 f"requires K < M <= N, got K={self.k}, M={self.m}, N={self.n}"
             )
-        if not self.sigma2 > 0:
-            raise InvalidParameterError(f"sigma2 must be > 0, got {self.sigma2}")
-        if not self.xmin2 > 0:
-            raise InvalidParameterError(f"xmin2 must be > 0, got {self.xmin2}")
+        if not 0 < self.sigma2 < math.inf:
+            raise InvalidParameterError(f"sigma2 must be finite and > 0, got {self.sigma2}")
+        if not 0 < self.xmin2 < math.inf:
+            raise InvalidParameterError(f"xmin2 must be finite and > 0, got {self.xmin2}")
         if not self.rho > 1:
             raise InvalidParameterError(f"rho must be > 1, got {self.rho}")
         if self.delta_override is not None and not self.delta_override >= 0:
@@ -315,8 +299,8 @@ def measure(
     tests; the bound formulas reject it separately because they divide by
     the noise variance).
     """
-    if noise_var < 0:
-        raise InvalidRangeError(f"noise_var must be >= 0, got {noise_var}")
+    if not 0 <= noise_var < math.inf:
+        raise InvalidRangeError(f"noise_var must be finite and >= 0, got {noise_var}")
     if f.num_vectors != x.num_vectors or f.ambient_dim != x.ambient_dim:
         raise InvalidDimensionError(
             f"shape mismatch: matrices {f.matrices.shape} vs vectors {x.vectors.shape}"
@@ -325,7 +309,7 @@ def measure(
     if noise_var > 0:
         rng = as_rng(seed)
         clean = clean + math.sqrt(noise_var) * rng.standard_normal(clean.shape)
-    return MeasurementEnsemble(clean, noise_var)
+    return MeasurementEnsemble(clean)
 
 
 def min_residual_energy(x: SparseEnsemble, j: SupportSet) -> float:
@@ -344,86 +328,3 @@ def min_residual_energy(x: SparseEnsemble, j: SupportSet) -> float:
     energies = np.sum(x.vectors[:, leftover] ** 2, axis=1)
     return float(np.min(energies))
 
-
-# ---- Snapshot serialization --------------------------------------------
-# Flat text formats only: matrices and vectors as (s, row, col, value)
-# triplet CSV, plus one JSON manifest holding the dimensions, the noise
-# variance, and the seed that produced the snapshot. Indices are 0-based.
-
-
-def _write_triplets(path, array3d: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("s,row,col,value\n")
-        for s in range(array3d.shape[0]):
-            for r in range(array3d.shape[1]):
-                row = array3d[s, r]
-                for c in range(array3d.shape[2]):
-                    fh.write(f"{s},{r},{c},{float(row[c])!r}\n")
-
-
-def _read_triplets(path, shape) -> np.ndarray:
-    out = np.zeros(shape)
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "s,row,col,value":
-            raise InvalidParameterError(f"unexpected triplet header {header!r} in {path}")
-        for line in fh:
-            s, r, c, v = line.rstrip("\n").split(",")
-            out[int(s), int(r), int(c)] = float(v)
-    return out
-
-
-def write_snapshot(
-    prefix: str,
-    x: SparseEnsemble,
-    f: SensingEnsemble,
-    y: Optional[MeasurementEnsemble] = None,
-    seed: Optional[int] = None,
-) -> dict:
-    """Write a full ensemble snapshot under the given path prefix.
-
-    Produces {prefix}.signals.csv, {prefix}.matrices.csv, optionally
-    {prefix}.measurements.csv, and {prefix}.manifest.json. Returns the
-    manifest dictionary.
-    """
-    manifest = {
-        "format": SNAPSHOT_FORMAT,
-        "n": x.ambient_dim,
-        "k": x.support.size,
-        "m": f.num_rows,
-        "s": x.num_vectors,
-        "noise_var": None if y is None else y.noise_var,
-        "seed": seed,
-        "support": list(x.support.indices),
-        "x_min_sq": x.x_min_sq,
-    }
-    _write_triplets(f"{prefix}.signals.csv", x.vectors[:, :, None])
-    _write_triplets(f"{prefix}.matrices.csv", f.matrices)
-    if y is not None:
-        _write_triplets(f"{prefix}.measurements.csv", y.measurements[:, :, None])
-    with open(f"{prefix}.manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
-
-
-def read_snapshot(prefix: str):
-    """Read back a snapshot written by write_snapshot.
-
-    Returns (SparseEnsemble, SensingEnsemble, MeasurementEnsemble or None,
-    manifest dict).
-    """
-    with open(f"{prefix}.manifest.json") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != SNAPSHOT_FORMAT:
-        raise InvalidParameterError(f"unknown snapshot format {manifest.get('format')!r}")
-    n, k, m, s = (manifest[key] for key in ("n", "k", "m", "s"))
-    vectors = _read_triplets(f"{prefix}.signals.csv", (s, n, 1))[:, :, 0]
-    support = SupportSet(tuple(manifest["support"]), n)
-    x = SparseEnsemble(vectors, support)
-    f = SensingEnsemble(_read_triplets(f"{prefix}.matrices.csv", (s, m, n)))
-    y = None
-    if manifest.get("noise_var") is not None:
-        meas = _read_triplets(f"{prefix}.measurements.csv", (s, m, 1))[:, :, 0]
-        y = MeasurementEnsemble(meas, manifest["noise_var"])
-    return x, f, y, manifest

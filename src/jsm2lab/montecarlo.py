@@ -33,6 +33,7 @@ from .decoder import DEFAULT_ENUMERATION_CAP, decode
 from .ensemble import (
     AMPLITUDE_FIXED,
     AMPLITUDE_MODES,
+    AMPLITUDE_UNIFORM,
     ProblemParams,
     SparseEnsemble,
     SupportSet,
@@ -101,7 +102,8 @@ class TrialPlan:
     fix_signal=True draws one signal ensemble and conditions every trial on
     it, matching the conditional failure probability the bounds address;
     fix_signal=False redraws amplitudes each trial on the same support for
-    average-case curves. x_max is only consulted in uniform amplitude mode.
+    average-case curves. x_max is only consulted in uniform amplitude mode,
+    which requires it finite and at least params.x_min.
     """
 
     params: ProblemParams
@@ -117,6 +119,13 @@ class TrialPlan:
         if self.amplitude_mode not in AMPLITUDE_MODES:
             raise InvalidParameterError(
                 f"amplitude_mode must be one of {AMPLITUDE_MODES}, got {self.amplitude_mode!r}"
+            )
+        if self.amplitude_mode == AMPLITUDE_UNIFORM and not (
+            self.x_max is not None and self.params.x_min <= self.x_max < math.inf
+        ):
+            raise InvalidRangeError(
+                f"uniform amplitude needs a finite x_max >= x_min={self.params.x_min}, "
+                f"got {self.x_max}"
             )
 
 

@@ -93,13 +93,6 @@ def brute_force_min_residual(vectors, support, j):
     return best
 
 
-def normal_equations_ls(block, y):
-    """(F^T F)^{-1} F^T y, the textbook least-squares formula."""
-    block = np.asarray(block, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.linalg.inv(block.T @ block) @ block.T @ y
-
-
 def naive_upper_log(n, k, m, s, sigma2, xmin2, rho):
     """Direct float transcription of the combined failure bound (log nats)."""
     delta = (1.0 / rho) * (1.0 - k / m) * xmin2

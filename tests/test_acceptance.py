@@ -177,7 +177,7 @@ def test_06_incorrect_statistic_moments_through_pipeline():
         for tr in range(trials):
             f = sample_sensing(m, n, s, np.random.SeedSequence((ACCEPT_SEED, int(pick), tr, 0)))
             y = measure(x, f, sigma2, np.random.SeedSequence((ACCEPT_SEED, int(pick), tr, 1)))
-            vals[tr] = typicality_stat(wrong, y, f, params.delta).value
+            vals[tr] = typicality_stat(wrong, y, f, params).value
         se_mean = math.sqrt(var_t / trials)
         m4 = float(np.mean((vals - mean_t) ** 4))
         se_var = math.sqrt(max(m4 - var_t**2, 0.0) / trials)
@@ -284,7 +284,7 @@ def test_10_decoder_matches_brute_force_oracle():
         out = decode(y, f, params, true_support=sup)
         ref_rows = brute_force_stats(y.measurements, f.matrices, sigma2, k, params.delta)
         flags = [
-            typicality_stat(SupportSet(j, n), y, f, params.delta).typical
+            typicality_stat(SupportSet(j, n), y, f, params).typical
             for j, _, _, _ in ref_rows
         ]
         if flags != [row[3] for row in ref_rows]:

@@ -1,7 +1,10 @@
 import json
 import math
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+
+import jsm2lab.cli
 
 from jsm2lab.cli import (
     DEFAULT_SEED,
@@ -214,6 +217,26 @@ class TestCommands:
              "--snr", "10", "--delta", "5"]
         )
         assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_exit_code_2_on_uniform_amplitude_without_xmax(self, capsys):
+        rc = main(
+            ["simulate", "--n", "6", "--k", "2", "--m", "4", "--s", "1",
+             "--amplitude", "uniform"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_exit_code_1_on_broken_worker_pool(self, monkeypatch, capsys):
+        def crash(config):
+            raise BrokenProcessPool("a worker process terminated abruptly")
+
+        monkeypatch.setattr(jsm2lab.cli, "run", crash)
+        rc = main(["simulate", "--n", "6", "--k", "2", "--m", "4", "--s", "1"])
+        assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 

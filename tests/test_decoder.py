@@ -15,8 +15,6 @@ from jsm2lab import (
     SensingEnsemble,
     SupportSet,
     decode,
-    default_delta,
-    ls_estimate,
     measure,
     projection_residual,
     sample_sensing,
@@ -28,7 +26,6 @@ from oracles import (
     brute_force_decode,
     brute_force_stats,
     dense_projection_residual,
-    normal_equations_ls,
 )
 
 
@@ -91,11 +88,12 @@ class TestTypicalityStat:
     def test_noiseless_true_support_value_zero(self):
         sup, x, f, _, p = _instance(8, 2, 5, 3, 1.0, 4.0)
         y0 = measure(x, f, 0.0, 9)
-        st = typicality_stat(sup, y0, f, p.delta)
+        st = typicality_stat(sup, y0, f, p)
         assert st.value == pytest.approx(0.0, abs=1e-18)
-        # centered sits at exactly -S(M-K)sigma2 when the recorded noise
-        # variance is zero, so the stat is typical for every positive slack
-        assert st.centered == pytest.approx(0.0, abs=1e-18)
+        # the window is centered on S(M-K) params.sigma2 whatever noise made
+        # the data, so a noiseless value sits exactly that far below it
+        assert st.centered == pytest.approx(-3 * (5 - 2) * 1.0, abs=1e-12)
+        assert st.threshold == pytest.approx(3 * 5 * p.delta)  # 18
         assert st.typical
 
     def test_matches_dense_oracle(self):
@@ -103,7 +101,7 @@ class TestTypicalityStat:
         rows = brute_force_stats(y.measurements, f.matrices, p.sigma2, 2, p.delta)
         ref = dict((tuple(r[0]), r) for r in rows)
         for j in itertools.combinations(range(6), 2):
-            st = typicality_stat(SupportSet(j, 6), y, f, p.delta)
+            st = typicality_stat(SupportSet(j, 6), y, f, p)
             assert st.value == pytest.approx(ref[j][1], rel=1e-9)
             assert st.typical == ref[j][3]
 
@@ -113,20 +111,42 @@ class TestTypicalityStat:
         mats[0][:, 1] = 2.0 * mats[0][:, 0]  # duplicate direction inside J = {0, 1}
         f_bad = SensingEnsemble(mats)
         y_bad = measure(x, f_bad, 1.0, 10)
-        st = typicality_stat(SupportSet((0, 1), 6), y_bad, f_bad, math.inf)
+        st = typicality_stat(SupportSet((0, 1), 6), y_bad, f_bad, p, delta=math.inf)
         assert not st.rank_ok
         assert not st.typical
 
-    def test_delta_must_be_positive(self):
+    def test_delta_must_be_nonnegative(self):
         sup, _, f, y, p = _instance(6, 2, 4, 2, 1.0, 4.0)
-        with pytest.raises(InvalidRangeError):
-            typicality_stat(sup, y, f, 0.0)
+        for bad in (math.nan, -0.5):
+            with pytest.raises(InvalidRangeError):
+                typicality_stat(sup, y, f, p, delta=bad)
+        # a zero-width window admits nothing, as in decode
+        assert not typicality_stat(sup, y, f, p, delta=0.0).typical
 
     def test_candidate_must_be_smaller_than_m(self):
+        # K < M holds for params, so a size-M candidate cannot match params.k
         f = sample_sensing(4, 6, 2, 31)
-        y = MeasurementEnsemble(np.ones((2, 4)), 1.0)
+        y = MeasurementEnsemble(np.ones((2, 4)))
+        p = ProblemParams(n=6, k=2, m=4, s=2, sigma2=1.0, xmin2=1.0)
         with pytest.raises(InvalidDimensionError):
-            typicality_stat(SupportSet((0, 1, 2, 3), 6), y, f, 1.0)
+            typicality_stat(SupportSet((0, 1, 2, 3), 6), y, f, p)
+        with pytest.raises(InvalidDimensionError):
+            typicality_stat(SupportSet((0, 1), 7), y, f, p)
+
+    def test_same_verdict_as_decode_when_sigma2_differs_from_the_data(self):
+        # data drawn at sigma2 = 0.1; both functions center on params.sigma2
+        sup, x, f, y, _ = _instance(8, 2, 5, 3, 0.1, 1.0, seeds=(41, 42, 43, 44))
+        verdicts = []
+        for sigma2 in (0.1, 5.0):
+            p = ProblemParams(n=8, k=2, m=5, s=3, sigma2=sigma2, xmin2=1.0)
+            st = typicality_stat(sup, y, f, p)
+            out = decode(y, f, p, true_support=sup)
+            assert st.centered == pytest.approx(st.value - 3 * (5 - 2) * sigma2)
+            verdicts.append(st.typical)
+            assert st.typical == out.correct_typical
+        # the center 45 at sigma2 = 5 lies far above the value 0.18, outside the
+        # half-width 3*5*delta = 4.5
+        assert verdicts == [True, False]
 
 
 class TestDecode:
@@ -165,7 +185,7 @@ class TestDecode:
         previous = None
         for d in deltas:
             flags = tuple(
-                typicality_stat(SupportSet(j, 8), y, f, d).typical
+                typicality_stat(SupportSet(j, 8), y, f, p, delta=d).typical
                 for j in itertools.combinations(range(8), 2)
             )
             if previous is not None:
@@ -232,45 +252,16 @@ class TestDecode:
             )
 
 
-class TestLsEstimate:
-    def test_noiseless_exact_recovery(self):
-        sup, x, f, _, _ = _instance(8, 3, 6, 2, 1.0, 4.0, seeds=(13, 14, 15, 16))
-        y0 = measure(x, f, 0.0, 17)
-        z = ls_estimate(sup, y0, f)
-        ref = x.vectors[:, sup.as_array()]
-        assert np.allclose(z, ref, rtol=1e-8)
-
-    def test_zero_measurements_zero_coefficients(self):
-        f = sample_sensing(4, 6, 2, 18)
-        y = MeasurementEnsemble(np.zeros((2, 4)), 1.0)
-        z = ls_estimate(SupportSet((1, 3), 6), y, f)
-        assert np.allclose(z, 0.0)
-
-    def test_matches_normal_equations(self):
-        sup, x, f, y, _ = _instance(8, 2, 6, 3, 1.0, 4.0, seeds=(19, 20, 21, 22))
-        z = ls_estimate(sup, y, f)
-        cols = sup.as_array()
-        for s in range(3):
-            ref = normal_equations_ls(f.matrices[s][:, cols], y.measurements[s])
-            assert np.allclose(z[s], ref, rtol=1e-8)
-
-    def test_rank_deficiency(self):
-        mats = sample_sensing(4, 6, 1, 23).matrices.copy()
-        mats[0][:, 3] = mats[0][:, 1]
-        f = SensingEnsemble(mats)
-        y = MeasurementEnsemble(np.ones((1, 4)), 1.0)
-        with pytest.raises(RankDeficientError):
-            ls_estimate(SupportSet((1, 3), 6), y, f)
-
-
 class TestDefaultDelta:
+    # the default slack (1/rho)(1 - K/M) xmin2 that ProblemParams.delta returns
+
     def test_half_sparsity_point(self):
         p = ProblemParams(n=8, k=2, m=4, s=1, sigma2=1.0, xmin2=1.0, rho=2.0)
-        assert default_delta(p) == pytest.approx(0.25)
+        assert p.delta == pytest.approx(0.25)
 
     def test_vanishes_as_rho_grows(self):
         values = [
-            default_delta(ProblemParams(n=8, k=2, m=4, s=1, sigma2=1.0, xmin2=1.0, rho=r))
+            ProblemParams(n=8, k=2, m=4, s=1, sigma2=1.0, xmin2=1.0, rho=r).delta
             for r in (2.0, 20.0, 2000.0)
         ]
         assert values[0] > values[1] > values[2]
@@ -278,7 +269,7 @@ class TestDefaultDelta:
 
     def test_admissibility_margin_at_reference_point(self):
         p = ProblemParams(n=10, k=2, m=8, s=4, sigma2=1.0, xmin2=10.0, rho=2.0)
-        d = default_delta(p)
+        d = p.delta
         ceiling = (1.0 - p.k / p.m) * p.xmin2
         assert d == pytest.approx(3.75)
         assert ceiling == pytest.approx(7.5)

@@ -11,15 +11,14 @@ from jsm2lab import (
     InvalidRangeError,
     MeasurementEnsemble,
     ProblemParams,
+    SensingEnsemble,
     SparseEnsemble,
     SupportSet,
     measure,
     min_residual_energy,
-    read_snapshot,
     sample_sensing,
     sample_sparse_ensemble,
     sample_support,
-    write_snapshot,
 )
 from oracles import brute_force_min_residual
 
@@ -274,35 +273,39 @@ class TestProblemParams:
             ProblemParams(n=8, k=2, m=4, s=1, sigma2=1.0, xmin2=1.0, rho=1.0)
 
 
-class TestSnapshots:
-    def test_round_trip(self, tmp_path):
-        sup = sample_support(8, 2, 3)
-        x = sample_sparse_ensemble(sup, 2, 1.0, seed=4)
-        f = sample_sensing(5, 8, 2, 5)
-        y = measure(x, f, 0.5, 6)
-        prefix = str(tmp_path / "snap")
-        write_snapshot(prefix, x, f, y, seed=99)
-        x2, f2, y2, manifest = read_snapshot(prefix)
-        assert np.array_equal(x.vectors, x2.vectors)
-        assert np.array_equal(f.matrices, f2.matrices)
-        assert np.array_equal(y.measurements, y2.measurements)
-        assert x2.support == sup
-        assert y2.noise_var == 0.5
-        assert manifest["seed"] == 99
-        assert manifest["n"] == 8 and manifest["k"] == 2
+class TestNonFiniteInput:
+    # NaN or inf must be refused where it enters, not decoded into a failure
 
-    def test_round_trip_without_measurements(self, tmp_path):
-        sup = sample_support(6, 2, 1)
-        x = sample_sparse_ensemble(sup, 1, 2.0, seed=2)
-        f = sample_sensing(4, 6, 1, 3)
-        prefix = str(tmp_path / "snap2")
-        write_snapshot(prefix, x, f)
-        x2, f2, y2, _ = read_snapshot(prefix)
-        assert y2 is None
-        assert np.array_equal(x.vectors, x2.vectors)
-        assert np.array_equal(f.matrices, f2.matrices)
+    @pytest.mark.parametrize("field", ["sigma2", "xmin2"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_params_require_finite_noise_and_signal_levels(self, field, bad):
+        kw = dict(n=8, k=2, m=4, s=1, sigma2=1.0, xmin2=1.0)
+        kw[field] = bad
+        with pytest.raises(InvalidParameterError):
+            ProblemParams(**kw)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_sensing_matrices_must_be_finite(self, bad):
+        mats = sample_sensing(3, 4, 2, 1).matrices.copy()
+        mats[1, 2, 3] = bad
+        with pytest.raises(InvalidParameterError):
+            SensingEnsemble(mats)
 
-def test_measurement_ensemble_rejects_negative_variance():
-    with pytest.raises(InvalidRangeError):
-        MeasurementEnsemble(np.zeros((1, 3)), -0.5)
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_measurements_must_be_finite(self, bad):
+        y = np.zeros((2, 3))
+        y[0, 1] = bad
+        with pytest.raises(InvalidParameterError):
+            MeasurementEnsemble(y)
+
+    def test_signal_vectors_must_be_finite(self):
+        with pytest.raises(InvalidParameterError):
+            SparseEnsemble(np.array([[math.inf, 0.0, 0.0]]), SupportSet((0,), 3))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_measure_rejects_non_finite_noise_var(self, bad):
+        sup = SupportSet((0,), 4)
+        x = sample_sparse_ensemble(sup, 1, 1.0, seed=1)
+        f = sample_sensing(3, 4, 1, 2)
+        with pytest.raises(InvalidRangeError):
+            measure(x, f, bad, 3)

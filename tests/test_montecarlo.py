@@ -84,6 +84,14 @@ class TestTrialPlan:
         with pytest.raises(InvalidParameterError):
             TrialPlan(params=PARAMS_EASY, trials=10, master_seed=1, amplitude_mode="gauss")
 
+    @pytest.mark.parametrize("x_max", [None, 0.5, math.nan, math.inf])
+    def test_uniform_amplitudes_need_a_valid_x_max(self, x_max):
+        # PARAMS_EASY has x_min = 1; a bad x_max used to yield a row of empty estimates
+        assert PARAMS_EASY.x_min == 1.0
+        with pytest.raises(InvalidRangeError):
+            TrialPlan(PARAMS_EASY, 10, 1, amplitude_mode="uniform", x_max=x_max)
+        TrialPlan(PARAMS_EASY, 10, 1, amplitude_mode="uniform", x_max=1.0)
+
     def test_defaults(self):
         plan = TrialPlan(params=PARAMS_EASY, trials=10, master_seed=1)
         assert plan.amplitude_mode == "fixed"

@@ -13,6 +13,7 @@ from jsm2lab import (
     SensingEnsemble,
     SupportSet,
     decode,
+    typicality_stat,
 )
 from jsm2lab.bounds import (
     fano_lower_value,
@@ -171,7 +172,7 @@ def test_decode_matches_dense_reference(inst):
     rows = brute_force_stats(y, f, params.sigma2, params.k, params.delta)
     assume(not near_boundary(rows, params.s * params.m * params.delta))
     out = decode(
-        MeasurementEnsemble(y, params.sigma2),
+        MeasurementEnsemble(y),
         SensingEnsemble(f),
         params,
         true_support=SupportSet(support, params.n),
@@ -180,6 +181,23 @@ def test_decode_matches_dense_reference(inst):
     decoded = out.decoded.indices if out.decoded is not None else None
     assert (decoded, out.correct_typical, out.num_incorrect_typical,
             out.event_failure, out.decode_error) == ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=decode_instance())
+def test_typicality_stat_is_decode_test(inst):
+    # typicality_stat and decode apply one test: same verdict on the true
+    # support, and the same count of typical candidates over all supports
+    params, f, y, support = inst
+    rows = brute_force_stats(y, f, params.sigma2, params.k, params.delta)
+    assume(not near_boundary(rows, params.s * params.m * params.delta))
+    meas, sensing = MeasurementEnsemble(y), SensingEnsemble(f)
+    out = decode(meas, sensing, params, true_support=SupportSet(support, params.n))
+    stats = [
+        typicality_stat(SupportSet(j, params.n), meas, sensing, params) for j, _, _, _ in rows
+    ]
+    assert stats[[r[0] for r in rows].index(support)].typical == out.correct_typical
+    assert sum(st.typical for st in stats) == out.num_incorrect_typical + out.correct_typical
 
 
 def test_every_candidate_matches_dense_rows():

@@ -196,7 +196,7 @@ class TestPipelineCrossCheck:
         for i in range(trials):
             f = sample_sensing(m, n, s, 10_000 + i)
             y = measure(x, f, sigma2, 50_000 + i)
-            vals[i] = typicality_stat(wrong, y, f, p.delta).value
+            vals[i] = typicality_stat(wrong, y, f, p).value
         mean, var = z_J_moments(alphas, m, k)
         se_mean = math.sqrt(var / trials)
         assert abs(float(np.mean(vals)) - mean) < 5.0 * se_mean
