@@ -5,7 +5,6 @@ Run as: python3 demos/bounds_walkthrough.py
 
 import math
 
-from jsm2lab import ProblemParams
 from jsm2lab.bounds import (
     BOUND_REPORT_CSV_HEADER,
     SUFFICIENCY_CSV_HEADER,
@@ -14,6 +13,7 @@ from jsm2lab.bounds import (
     sufficient_M,
     upper_bound_perr,
 )
+from jsm2lab.ensemble import ProblemParams
 
 
 def show_point():

@@ -6,15 +6,14 @@ Run as: python3 demos/decoder_anatomy.py
 
 import itertools
 
-from jsm2lab import (
+from jsm2lab.decoder import decode, typicality_stat
+from jsm2lab.ensemble import (
     ProblemParams,
     SupportSet,
-    decode,
     measure,
     sample_sensing,
     sample_sparse_ensemble,
     sample_support,
-    typicality_stat,
 )
 
 N, K, M, S = 8, 2, 5, 3

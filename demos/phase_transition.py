@@ -6,13 +6,8 @@ minute at the default trial budget.
 Run as: python3 demos/phase_transition.py
 """
 
-from jsm2lab import ProblemParams
-from jsm2lab.montecarlo import (
-    TrialPlan,
-    find_M_star,
-    sweep,
-    write_sweep_csv,
-)
+from jsm2lab.ensemble import ProblemParams
+from jsm2lab.montecarlo import TrialPlan, find_M_star, sweep, write_sweep_csv
 
 N, K, S = 16, 2, 4
 SNR = 100.0
@@ -43,8 +38,7 @@ def main():
             f"{row.bound.upper_perr:.4f}"
         )
 
-    probe = ProblemParams(n=N, k=K, m=K + 1, s=S, sigma2=1.0 / SNR, xmin2=1.0, rho=2.0)
-    res = find_M_star(probe, target=0.1, trials=TRIALS, seed=SEED)
+    res = find_M_star(plans[0], target=0.1)
     print()
     print(f"smallest M with failure <= 0.1: {res.m_star} (saturated={res.saturated})")
     print("full grid written to phase_transition.csv")

@@ -11,13 +11,13 @@ Run as: python3 demos/vector_scaling.py
 
 import math
 
-from jsm2lab import ProblemParams
 from jsm2lab.bounds import (
     corollary3_S_bound,
     log_binom,
     log_mu_factors,
     upper_bound_perr,
 )
+from jsm2lab.ensemble import ProblemParams
 from jsm2lab.montecarlo import TrialPlan, run_trials
 
 N, K = 8, 2

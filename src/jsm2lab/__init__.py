@@ -5,159 +5,9 @@ samplers, noisy measurement), decoder (projection residuals and the
 exhaustive typicality decoder), bounds (closed-form failure bounds and
 measurement-count conditions), quadstats (quadratic-form distributional
 oracles), montecarlo (seeded trial runner, sweeps, and the smallest
-sufficient-M search), and cli (the jsm2lab command).
+sufficient-M search), cli (the jsm2lab command), seeding (per-role random
+streams) and errors (the exception types). Import each name from the
+module that defines it; the package itself re-exports nothing.
 """
 
-from .bounds import (
-    BoundReport,
-    MmvOrderReport,
-    Regime,
-    SufficiencyReport,
-    corollary3_S_bound,
-    corollary3_S_bound_high_snr,
-    exp_ineq_bounds,
-    fano_lower_perr,
-    log_binom,
-    log_mu_factors,
-    mmv_order_comparison,
-    mu_factors,
-    necessary_M,
-    p_chernoff,
-    sufficiency_report,
-    sufficient_M,
-    sufficient_M_corollary1,
-    sufficient_M_corollary2,
-    upper_bound_perr,
-)
-from .decoder import (
-    DecodeOutcome,
-    TypicalityStat,
-    decode,
-    projection_residual,
-    residual_energies,
-    typicality_stat,
-)
-from .ensemble import (
-    AMPLITUDE_FIXED,
-    AMPLITUDE_UNIFORM,
-    MeasurementEnsemble,
-    ProblemParams,
-    SensingEnsemble,
-    SparseEnsemble,
-    SupportSet,
-    measure,
-    min_residual_energy,
-    sample_sensing,
-    sample_sparse_ensemble,
-    sample_support,
-)
-from .errors import (
-    ConfigError,
-    DeltaAdmissibilityError,
-    DomainError,
-    EnumerationBudgetError,
-    InvalidDimensionError,
-    InvalidParameterError,
-    InvalidRangeError,
-    Jsm2LabError,
-    RankDeficientError,
-)
-from .montecarlo import (
-    EstimateWithCI,
-    MStarResult,
-    RunResult,
-    SweepRow,
-    TrialPlan,
-    find_M_star,
-    run_trials,
-    sweep,
-    sweep_csv_lines,
-    trend_residual,
-    wilson_interval,
-    write_sweep_csv,
-)
-from .quadstats import (
-    QuadFormSpec,
-    TailCheckResult,
-    laurent_massart_check,
-    quadform_mgf,
-    sample_quadform,
-    sample_z_correct,
-    sample_z_incorrect,
-    z_I_moments,
-    z_J_moments,
-)
-from .seeding import derive_rng
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AMPLITUDE_FIXED",
-    "AMPLITUDE_UNIFORM",
-    "BoundReport",
-    "ConfigError",
-    "DecodeOutcome",
-    "DeltaAdmissibilityError",
-    "DomainError",
-    "EnumerationBudgetError",
-    "EstimateWithCI",
-    "InvalidDimensionError",
-    "InvalidParameterError",
-    "InvalidRangeError",
-    "Jsm2LabError",
-    "MStarResult",
-    "MeasurementEnsemble",
-    "MmvOrderReport",
-    "ProblemParams",
-    "QuadFormSpec",
-    "RankDeficientError",
-    "Regime",
-    "RunResult",
-    "SensingEnsemble",
-    "SparseEnsemble",
-    "SufficiencyReport",
-    "SupportSet",
-    "SweepRow",
-    "TailCheckResult",
-    "TrialPlan",
-    "TypicalityStat",
-    "corollary3_S_bound",
-    "corollary3_S_bound_high_snr",
-    "decode",
-    "derive_rng",
-    "exp_ineq_bounds",
-    "fano_lower_perr",
-    "find_M_star",
-    "laurent_massart_check",
-    "log_binom",
-    "log_mu_factors",
-    "measure",
-    "min_residual_energy",
-    "mmv_order_comparison",
-    "mu_factors",
-    "necessary_M",
-    "p_chernoff",
-    "projection_residual",
-    "quadform_mgf",
-    "residual_energies",
-    "run_trials",
-    "sample_quadform",
-    "sample_sensing",
-    "sample_sparse_ensemble",
-    "sample_support",
-    "sample_z_correct",
-    "sample_z_incorrect",
-    "sufficiency_report",
-    "sufficient_M",
-    "sufficient_M_corollary1",
-    "sufficient_M_corollary2",
-    "sweep",
-    "sweep_csv_lines",
-    "trend_residual",
-    "typicality_stat",
-    "upper_bound_perr",
-    "wilson_interval",
-    "write_sweep_csv",
-    "z_I_moments",
-    "z_J_moments",
-]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -232,12 +232,6 @@ def log_mu_factors(params: ProblemParams) -> Tuple[float, float]:
     log_mu_i = 0.5 * (m - k) * (math.log1p(d1) - d1)
     log_mu_j = 0.5 * (m - k) * (math.log1p(-t) + t)
     return log_mu_i, log_mu_j
-
-
-def mu_factors(params: ProblemParams) -> Tuple[float, float]:
-    """Per-vector contraction factors (mu_I, mu_J), each in (0, 1)."""
-    log_mu_i, log_mu_j = log_mu_factors(params)
-    return math.exp(log_mu_i), math.exp(log_mu_j)
 
 
 def exp_ineq_bounds(
@@ -535,15 +529,7 @@ def sufficiency_report(
     else:
         cor2_lin = math.nan
         cor2_sub = math.nan
-    cor3_params = ProblemParams(
-        n=params.n,
-        k=params.k,
-        m=params.k + 1,
-        s=params.s,
-        sigma2=params.sigma2,
-        xmin2=params.xmin2,
-        rho=params.rho,
-    )
+    cor3_params = replace(params, m=params.k + 1, delta_override=None)
     return SufficiencyReport(
         params=params,
         nu1=nu1,

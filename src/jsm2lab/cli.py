@@ -27,13 +27,12 @@ from .bounds import (
     sufficiency_report,
     upper_bound_perr,
 )
-from .decoder import DEFAULT_ENUMERATION_CAP, projection_residual
+from .decoder import DEFAULT_ENUMERATION_CAP, check_enumeration_budget, projection_residual
 from .ensemble import AMPLITUDE_FIXED, AMPLITUDE_MODES, ProblemParams
 from .errors import ConfigError, EnumerationBudgetError, Jsm2LabError
 from .montecarlo import (
     TrialPlan,
     find_M_star,
-    run_trials,
     sweep,
     sweep_csv_lines,
     sweep_metadata,
@@ -174,20 +173,19 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     if args.config:
         file_map = read_config_file(args.config)
 
-    def pick(key: str):
-        attr = key.replace("-", "_")
-        flag_value = getattr(args, attr, None)
-        if flag_value is not None:
-            return flag_value
-        return _coerce(key, file_map.get(key))
+    def pick(key: str, default=None):
+        """The flag, else the config-file entry, else default; only None counts as absent."""
+        value = getattr(args, key.replace("-", "_"), None)
+        if value is None:
+            value = _coerce(key, file_map.get(key))
+        return default if value is None else value
 
     command = args.command
-    trials = pick("trials") or DEFAULT_TRIALS
-    seed = pick("seed")
-    seed = DEFAULT_SEED if seed is None else seed
-    jobs = pick("jobs") or 1
-    cap = pick("cap") or DEFAULT_ENUMERATION_CAP
-    amplitude = pick("amplitude") or AMPLITUDE_FIXED
+    trials = pick("trials", DEFAULT_TRIALS)
+    seed = pick("seed", DEFAULT_SEED)
+    jobs = pick("jobs", 1)
+    cap = pick("cap", DEFAULT_ENUMERATION_CAP)
+    amplitude = pick("amplitude", AMPLITUDE_FIXED)
     if amplitude not in AMPLITUDE_MODES:
         raise ConfigError(f"amplitude must be one of {AMPLITUDE_MODES}, got {amplitude!r}")
     fix_signal = _parse_bool("fix-signal", pick("fix-signal"), True)
@@ -255,16 +253,12 @@ def _build_params(pick, command: str, axis: Optional[str], values) -> ProblemPar
 
     snr = pick("snr")
     sigma2 = pick("sigma2")
-    xmin2 = pick("xmin2")
-    if xmin2 is None:
-        xmin2 = DEFAULT_XMIN2
+    xmin2 = pick("xmin2", DEFAULT_XMIN2)
     if snr is not None and sigma2 is not None:
         raise ConfigError("give either --snr or --sigma2, not both")
     if sigma2 is None:
         sigma2 = xmin2 / snr if snr is not None else DEFAULT_SIGMA2
-    rho = pick("rho")
-    if rho is None:
-        rho = DEFAULT_RHO
+    rho = pick("rho", DEFAULT_RHO)
     try:
         return ProblemParams(
             n=int(n),
@@ -307,7 +301,20 @@ def _cmd_bounds(config: ExperimentConfig) -> int:
     return 0
 
 
+def _plan(config: ExperimentConfig) -> TrialPlan:
+    """The run the config describes at its own problem point."""
+    return TrialPlan(
+        params=config.params,
+        trials=config.trials,
+        master_seed=config.master_seed,
+        amplitude_mode=config.amplitude_mode,
+        fix_signal=config.fix_signal,
+        x_max=config.x_max,
+    )
+
+
 def _grid_plans(config: ExperimentConfig) -> List[TrialPlan]:
+    base = _plan(config)
     params = config.params
     plans = []
     for value in config.values:
@@ -318,16 +325,7 @@ def _grid_plans(config: ExperimentConfig) -> List[TrialPlan]:
                 point = replace(params, **{config.axis: int(value)})
         except Jsm2LabError as exc:
             raise ConfigError(f"grid value {config.axis}={value}: {exc}") from exc
-        plans.append(
-            TrialPlan(
-                params=point,
-                trials=config.trials,
-                master_seed=config.master_seed,
-                amplitude_mode=config.amplitude_mode,
-                fix_signal=config.fix_signal,
-                x_max=config.x_max,
-            )
-        )
+        plans.append(replace(base, params=point))
     return plans
 
 
@@ -338,23 +336,10 @@ def _write_sidecar(csv_path: str, rows, wall: float) -> None:
 
 
 def _cmd_simulate(config: ExperimentConfig) -> int:
-    params = config.params
-    total = math.comb(params.n, params.k)
-    if total > config.enumeration_cap:
-        # A single requested point that cannot run is a budget failure,
-        # not a recordable partial result like a sweep row.
-        raise EnumerationBudgetError(
-            f"C({params.n},{params.k}) = {total} exceeds enumeration cap "
-            f"{config.enumeration_cap}"
-        )
-    plan = TrialPlan(
-        params=params,
-        trials=config.trials,
-        master_seed=config.master_seed,
-        amplitude_mode=config.amplitude_mode,
-        fix_signal=config.fix_signal,
-        x_max=config.x_max,
-    )
+    # A single requested point that cannot run is a budget failure,
+    # not a recordable partial result like a sweep row.
+    check_enumeration_budget(config.params, config.enumeration_cap)
+    plan = _plan(config)
     start = time.monotonic()
     rows = sweep([plan], axis="m", jobs=config.jobs, enumeration_cap=config.enumeration_cap)
     wall = time.monotonic() - start
@@ -387,14 +372,9 @@ def _cmd_sweep(config: ExperimentConfig) -> int:
 
 def _cmd_find_m(config: ExperimentConfig) -> int:
     result = find_M_star(
-        config.params,
+        _plan(config),
         target=config.target,
-        trials=config.trials,
-        seed=config.master_seed,
         jobs=config.jobs,
-        amplitude_mode=config.amplitude_mode,
-        fix_signal=config.fix_signal,
-        x_max=config.x_max,
         enumeration_cap=config.enumeration_cap,
     )
     lines = [

@@ -360,6 +360,15 @@ def _lex_rank(indices: Tuple[int, ...], n: int) -> int:
     return rank
 
 
+def check_enumeration_budget(params: ProblemParams, enumeration_cap: int) -> None:
+    """Raise EnumerationBudgetError when C(N, K) exceeds enumeration_cap."""
+    total = math.comb(params.n, params.k)
+    if total > enumeration_cap:
+        raise EnumerationBudgetError(
+            f"C({params.n},{params.k}) = {total} exceeds enumeration cap {enumeration_cap}"
+        )
+
+
 def decode(
     y: MeasurementEnsemble,
     f: SensingEnsemble,
@@ -381,12 +390,8 @@ def decode(
     """
     _check_shapes(y, f, params)
     center, threshold = _window(params, delta)
+    check_enumeration_budget(params, enumeration_cap)
     n, k = params.n, params.k
-    total = math.comb(n, k)
-    if total > enumeration_cap:
-        raise EnumerationBudgetError(
-            f"C({n},{k}) = {total} exceeds enumeration cap {enumeration_cap}"
-        )
 
     num_typical = 0
     best_abs = math.inf

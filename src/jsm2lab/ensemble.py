@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -65,12 +65,6 @@ class SupportSet:
             raise InvalidRangeError(
                 f"support indices must lie in [0, {self.ambient_dim}), got {idx}"
             )
-
-    @classmethod
-    def from_iterable(cls, indices: Iterable[int], ambient_dim: int) -> "SupportSet":
-        """Build from any iterable; sorts and rejects duplicates."""
-        idx = sorted(int(i) for i in indices)
-        return cls(tuple(idx), ambient_dim)
 
     @property
     def size(self) -> int:
@@ -173,8 +167,9 @@ class MeasurementEnsemble:
 class ProblemParams:
     """Dimensions and signal/noise levels of one recovery problem.
 
-    Requires K < M <= N (every closed-form quantity divides by M - K) and
-    finite, strictly positive sigma2 and xmin2. The typicality slack defaults to
+    Requires K < M <= N (every closed-form quantity divides by M - K),
+    finite, strictly positive sigma2 and xmin2, and 1 < rho < inf (rho = inf
+    would make the default slack 0). The typicality slack defaults to
     delta = (1/rho) * (1 - K/M) * xmin2 and can be overridden through
     delta_override (0 and +inf are allowed there for decoder studies; the
     bound formulas reject inadmissible values themselves).
@@ -207,8 +202,8 @@ class ProblemParams:
             raise InvalidParameterError(f"sigma2 must be finite and > 0, got {self.sigma2}")
         if not 0 < self.xmin2 < math.inf:
             raise InvalidParameterError(f"xmin2 must be finite and > 0, got {self.xmin2}")
-        if not self.rho > 1:
-            raise InvalidParameterError(f"rho must be > 1, got {self.rho}")
+        if not 1 < self.rho < math.inf:
+            raise InvalidParameterError(f"rho must be finite and > 1, got {self.rho}")
         if self.delta_override is not None and not self.delta_override >= 0:
             raise InvalidRangeError(f"delta override must be >= 0, got {self.delta_override}")
 

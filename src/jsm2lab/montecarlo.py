@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 from . import bounds as _bounds
-from .decoder import DEFAULT_ENUMERATION_CAP, decode
+from .decoder import DEFAULT_ENUMERATION_CAP, check_enumeration_budget, decode
 from .ensemble import (
     AMPLITUDE_FIXED,
     AMPLITUDE_MODES,
@@ -42,7 +42,12 @@ from .ensemble import (
     sample_sparse_ensemble,
     sample_support,
 )
-from .errors import EnumerationBudgetError, InvalidParameterError, InvalidRangeError
+from .errors import (
+    EnumerationBudgetError,
+    InvalidParameterError,
+    InvalidRangeError,
+    Jsm2LabError,
+)
 from .seeding import ROLE_MATRIX, ROLE_NOISE, ROLE_SIGNAL, ROLE_SUPPORT, derive_rng
 
 # 97.5% normal quantile fixing the Wilson interval level at 95%.
@@ -150,7 +155,8 @@ def _pinned_support(plan: TrialPlan) -> SupportSet:
     return sample_support(p.n, p.k, derive_rng(plan.master_seed, ROLE_SUPPORT, 0))
 
 
-def _pinned_signal(plan: TrialPlan, support: SupportSet) -> SparseEnsemble:
+def _signal(plan: TrialPlan, support: SupportSet, index: int) -> SparseEnsemble:
+    """The signal ensemble drawn from stream index: 0 when pinned, else the trial."""
     p = plan.params
     return sample_sparse_ensemble(
         support,
@@ -158,7 +164,7 @@ def _pinned_signal(plan: TrialPlan, support: SupportSet) -> SparseEnsemble:
         p.x_min,
         plan.amplitude_mode,
         plan.x_max,
-        seed=derive_rng(plan.master_seed, ROLE_SIGNAL, 0),
+        seed=derive_rng(plan.master_seed, ROLE_SIGNAL, index),
     )
 
 
@@ -167,19 +173,10 @@ def _run_block(args: Tuple[TrialPlan, int, int, int]) -> np.ndarray:
     plan, lo, hi, cap = args
     p = plan.params
     support = _pinned_support(plan)
-    signal = _pinned_signal(plan, support) if plan.fix_signal else None
+    signal = _signal(plan, support, 0) if plan.fix_signal else None
     counts = np.zeros(4, dtype=np.int64)
     for trial in range(lo, hi):
-        x = signal
-        if x is None:
-            x = sample_sparse_ensemble(
-                support,
-                p.s,
-                p.x_min,
-                plan.amplitude_mode,
-                plan.x_max,
-                seed=derive_rng(plan.master_seed, ROLE_SIGNAL, trial),
-            )
+        x = signal if signal is not None else _signal(plan, support, trial)
         f = sample_sensing(p.m, p.n, p.s, derive_rng(plan.master_seed, ROLE_MATRIX, trial))
         y = measure(x, f, p.sigma2, derive_rng(plan.master_seed, ROLE_NOISE, trial))
         out = decode(y, f, p, true_support=support, enumeration_cap=cap)
@@ -202,12 +199,7 @@ def run_trials(
     bit-identical for any worker count. Raises EnumerationBudgetError
     before running anything when the support enumeration is infeasible.
     """
-    p = plan.params
-    total = math.comb(p.n, p.k)
-    if total > enumeration_cap:
-        raise EnumerationBudgetError(
-            f"C({p.n},{p.k}) = {total} exceeds enumeration cap {enumeration_cap}"
-        )
+    check_enumeration_budget(plan.params, enumeration_cap)
     if jobs < 1:
         raise InvalidRangeError(f"jobs must be >= 1, got {jobs}")
     blocks = [
@@ -279,8 +271,6 @@ MC_CSV_COLUMNS = [
     "error",
 ]
 
-MC_CSV_HEADER = ",".join(MC_CSV_COLUMNS)
-
 
 def sweep(
     plans: Sequence[TrialPlan],
@@ -291,8 +281,10 @@ def sweep(
     """Run every plan and join estimates with analytic bounds, ordered by axis.
 
     axis is one of m, s, snr, n, k (case-insensitive) and fixes the row
-    order. A failing grid point (budget, inadmissible slack, ...) becomes a
-    row with the error recorded instead of aborting the remaining points.
+    order. A grid point that cannot run (enumeration budget) or has no
+    bound (inadmissible slack, ...) becomes a row with the error recorded
+    instead of aborting the remaining points; run-level failures (a bad
+    jobs count, a crashed worker pool) propagate.
     """
     key = _AXIS_KEYS.get(str(axis).lower())
     if key is None:
@@ -307,11 +299,11 @@ def sweep(
         bound = None
         try:
             rates = run_trials(plan, jobs=jobs, enumeration_cap=enumeration_cap)
-        except Exception as exc:  # recorded per-row by contract
+        except EnumerationBudgetError as exc:  # recorded per-row by contract
             errors.append(f"trials: {exc}")
         try:
             bound = _bounds.upper_bound_perr(plan.params)
-        except Exception as exc:
+        except Jsm2LabError as exc:
             errors.append(f"bound: {exc}")
         rows.append(SweepRow(plan, rates, bound, "; ".join(errors) or None))
     return rows
@@ -407,20 +399,16 @@ class MStarResult:
 
 
 def find_M_star(
-    params: ProblemParams,
+    plan: TrialPlan,
     target: float,
-    trials: int,
-    seed: int,
     jobs: int = 1,
-    amplitude_mode: str = AMPLITUDE_FIXED,
-    fix_signal: bool = True,
-    x_max: Optional[float] = None,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> MStarResult:
     """Bisect for the smallest M in [K+1, N] with event failure <= target.
 
-    The M carried by params is ignored; every probe reuses the same master
-    seed so curves across calls share their randomness. Assumes the failure
+    Each probe runs plan with only M replaced (the M carried by plan.params
+    is ignored), so every probe reuses the same master seed and curves
+    across calls share their randomness. Assumes the failure
     rate is non-increasing in M; when the evaluated estimates violate that,
     the result flags it and the bracket is what bisection actually pinned
     down.
@@ -431,15 +419,8 @@ def find_M_star(
     evaluations: Dict[int, EstimateWithCI] = {}
 
     def probe(m: int) -> float:
-        plan = TrialPlan(
-            params=replace(params, m=m),
-            trials=trials,
-            master_seed=seed,
-            amplitude_mode=amplitude_mode,
-            fix_signal=fix_signal,
-            x_max=x_max,
-        )
-        est = run_trials(plan, jobs=jobs, enumeration_cap=enumeration_cap).event_failure
+        point = replace(plan, params=replace(plan.params, m=m))
+        est = run_trials(point, jobs=jobs, enumeration_cap=enumeration_cap).event_failure
         evaluations[m] = est
         return est.point
 
@@ -447,7 +428,7 @@ def find_M_star(
         pts = [evaluations[m].point for m in sorted(evaluations)]
         return all(a >= b for a, b in zip(pts, pts[1:]))
 
-    lo, hi = params.k + 1, params.n
+    lo, hi = plan.params.k + 1, plan.params.n
     if probe(lo) <= target:
         return MStarResult(lo, False, False, None, evaluations)
     if lo == hi or probe(hi) > target:

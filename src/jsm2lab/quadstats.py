@@ -81,6 +81,8 @@ def z_I_moments(m: int, k: int, s: int) -> Tuple[float, float]:
     """
     if not m > k:
         raise InvalidRangeError(f"need M > K, got M={m}, K={k}")
+    if s < 1:
+        raise InvalidRangeError(f"need at least one vector, got S={s}")
     d = s * (m - k)
     return float(d), float(2 * d)
 
@@ -94,6 +96,8 @@ def z_J_moments(alpha_list: Sequence[float], m: int, k: int) -> Tuple[float, flo
     if not m > k:
         raise InvalidRangeError(f"need M > K, got M={m}, K={k}")
     alphas = np.asarray(alpha_list, dtype=float)
+    if alphas.size == 0:
+        raise InvalidRangeError("need at least one centering energy")
     if not (alphas > 0).all():
         raise InvalidRangeError("centering energies must all be > 0")
     mean = (m - k) * float(alphas.sum())
@@ -133,28 +137,13 @@ def sample_z_correct(
     noise off every block's column span, and sums the residual energies
     over the S vectors, normalizing by the noise variance. Matches the
     decoder's statistic at the true support because the clean measurement
-    component lies inside the span.
+    component lies inside the span. That is the incorrect-support sampler
+    with every centering energy equal to sigma2, divided by sigma2.
     """
-    if trials < 1:
-        raise InvalidRangeError(f"need at least one trial, got {trials}")
     if not sigma2 > 0:
         raise InvalidRangeError(f"sigma2 must be > 0, got {sigma2}")
-    z_I_moments(m, k, s)  # reuse the M > K validation
-    rng = as_rng(seed)
-    out = np.empty(trials)
-    step = max(1, _SAMPLE_CHUNK // (s * m * (k + 1)))
-    for lo in range(0, trials, step):
-        hi = min(lo + step, trials)
-        b = hi - lo
-        blocks = rng.standard_normal((b, s, m, k))
-        noise = math.sqrt(sigma2) * rng.standard_normal((b, s, m))
-        resid, rank_ok = residual_energies(blocks, noise)
-        if not rank_ok.all():
-            # Gaussian blocks are almost surely full rank; a failure here
-            # means the tolerance is wrong, not the draw.
-            raise DomainError("rank-deficient Gaussian block encountered")
-        out[lo:hi] = resid.sum(axis=1) / sigma2
-    return out
+    z_I_moments(m, k, s)  # the M > K and S >= 1 validation
+    return sample_z_incorrect([sigma2] * s, m, k, trials, seed) / sigma2
 
 
 def sample_z_incorrect(
@@ -187,6 +176,8 @@ def sample_z_incorrect(
         ys = scale * rng.standard_normal((b, s, m))
         resid, rank_ok = residual_energies(blocks, ys)
         if not rank_ok.all():
+            # Gaussian blocks are almost surely full rank; a failure here
+            # means the tolerance is wrong, not the draw.
             raise DomainError("rank-deficient Gaussian block encountered")
         out[lo:hi] = resid.sum(axis=1)
     return out

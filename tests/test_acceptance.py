@@ -12,16 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from jsm2lab import (
-    ProblemParams,
-    SupportSet,
-    decode,
-    measure,
-    sample_sensing,
-    sample_sparse_ensemble,
-    sample_support,
-    typicality_stat,
-)
 from jsm2lab.bounds import (
     corollary3_S_bound,
     fano_lower_perr,
@@ -29,14 +19,17 @@ from jsm2lab.bounds import (
     upper_bound_perr,
 )
 from jsm2lab.cli import main
-from jsm2lab.montecarlo import TrialPlan, find_M_star, run_trials, trend_residual
-from jsm2lab.quadstats import (
-    laurent_massart_check,
-    quadform_mgf,
-    QuadFormSpec,
-    sample_z_correct,
-    z_J_moments,
+from jsm2lab.decoder import decode, typicality_stat
+from jsm2lab.ensemble import (
+    ProblemParams,
+    SupportSet,
+    measure,
+    sample_sensing,
+    sample_sparse_ensemble,
+    sample_support,
 )
+from jsm2lab.montecarlo import TrialPlan, find_M_star, run_trials, trend_residual
+from jsm2lab.quadstats import laurent_massart_check, sample_z_correct, z_J_moments
 from oracles import brute_force_decode, brute_force_stats
 
 ACCEPT_SEED = 20260816
@@ -233,7 +226,7 @@ def test_08_required_measurements_shrink_with_vectors():
     m_stars = []
     for s in (1, 2, 4, 8):
         params = ProblemParams(n=16, k=2, m=3, s=s, sigma2=0.01, xmin2=1.0, rho=2.0)
-        res = find_M_star(params, target=0.1, trials=2_000, seed=ACCEPT_SEED)
+        res = find_M_star(TrialPlan(params, trials=2_000, master_seed=ACCEPT_SEED), target=0.1)
         # a saturated search means even M = N misses the target; order it
         # after every achievable count
         m_stars.append(params.n + 1 if res.saturated else res.m_star)

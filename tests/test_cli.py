@@ -5,16 +5,10 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import jsm2lab.cli
-
-from jsm2lab.cli import (
-    DEFAULT_SEED,
-    ConfigError,
-    ExperimentConfig,
-    main,
-    parse_config,
-    read_config_file,
-)
+import jsm2lab.montecarlo
 from jsm2lab.bounds import BOUND_REPORT_CSV_HEADER, SUFFICIENCY_CSV_HEADER
+from jsm2lab.cli import DEFAULT_SEED, main, parse_config, read_config_file
+from jsm2lab.errors import ConfigError
 from jsm2lab.montecarlo import MC_CSV_COLUMNS
 
 
@@ -239,6 +233,42 @@ class TestCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_exit_code_1_on_broken_worker_pool_inside_a_run(self, monkeypatch, capsys):
+        # a crashed pool is a run-level failure, not a sweep row's error
+        def crash(*args, **kwargs):
+            raise BrokenProcessPool("a worker process terminated abruptly")
+
+        monkeypatch.setattr(jsm2lab.montecarlo, "run_trials", crash)
+        rc = main(
+            ["simulate", "--n", "6", "--k", "2", "--m", "4", "--s", "1",
+             "--trials", "10", "--jobs", "2"]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            # an explicit 0 reaches the checks instead of meaning "default"
+            (["--trials", "0"], 2),
+            (["--jobs", "0"], 2),
+            (["--cap", "0"], 4),
+            (["--jobs", "-1"], 2),
+            (["--rho", "inf"], 2),
+        ],
+    )
+    def test_simulate_refuses_bad_run_values(self, flags, code, capsys):
+        rc = main(
+            ["simulate", "--n", "6", "--k", "2", "--m", "4", "--s", "1", "--trials", "10"]
+            + flags
+        )
+        assert rc == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_exit_code_4_on_budget(self, capsys):
         rc = main(

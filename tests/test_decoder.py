@@ -4,23 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from jsm2lab import (
+from jsm2lab.decoder import decode, projection_residual, typicality_stat
+from jsm2lab.ensemble import (
+    MeasurementEnsemble,
+    ProblemParams,
+    SensingEnsemble,
+    SupportSet,
+    measure,
+    sample_sensing,
+    sample_sparse_ensemble,
+    sample_support,
+)
+from jsm2lab.errors import (
     EnumerationBudgetError,
     InvalidDimensionError,
     InvalidParameterError,
     InvalidRangeError,
-    MeasurementEnsemble,
-    ProblemParams,
     RankDeficientError,
-    SensingEnsemble,
-    SupportSet,
-    decode,
-    measure,
-    projection_residual,
-    sample_sensing,
-    sample_sparse_ensemble,
-    sample_support,
-    typicality_stat,
 )
 from oracles import (
     brute_force_decode,

@@ -4,12 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from jsm2lab import (
-    InvalidParameterError,
-    InvalidRangeError,
-    ProblemParams,
-)
 from jsm2lab.bounds import upper_bound_perr
+from jsm2lab.ensemble import ProblemParams
+from jsm2lab.errors import InvalidParameterError, InvalidRangeError
 from jsm2lab.montecarlo import (
     MC_CSV_COLUMNS,
     EstimateWithCI,
@@ -220,14 +217,14 @@ class TestSweep:
 class TestFindMStar:
     def test_trivial_target_stops_at_smallest_m(self):
         p = ProblemParams(n=8, k=2, m=4, s=2, sigma2=1.0, xmin2=1.0, rho=2.0)
-        res = find_M_star(p, target=1.0, trials=16, seed=5)
+        res = find_M_star(TrialPlan(p, trials=16, master_seed=5), target=1.0)
         assert res.m_star == 3
         assert not res.saturated
         assert list(res.evaluations) == [3]
 
     def test_high_snr_bracket(self):
         p = ProblemParams(n=8, k=1, m=2, s=4, sigma2=0.01, xmin2=1.0, rho=2.0)
-        res = find_M_star(p, target=0.1, trials=400, seed=6)
+        res = find_M_star(TrialPlan(p, trials=400, master_seed=6), target=0.1)
         assert not res.saturated
         assert res.m_star is not None and 2 <= res.m_star <= 8
         assert res.evaluations[res.m_star].point <= 0.1
@@ -238,7 +235,7 @@ class TestFindMStar:
 
     def test_saturation(self):
         p = ProblemParams(n=6, k=2, m=3, s=1, sigma2=100.0, xmin2=1.0, rho=2.0)
-        res = find_M_star(p, target=0.01, trials=128, seed=7)
+        res = find_M_star(TrialPlan(p, trials=128, master_seed=7), target=0.01)
         assert res.saturated
         assert res.m_star is None
         assert res.bracket is None
@@ -247,12 +244,12 @@ class TestFindMStar:
         p = ProblemParams(n=8, k=2, m=4, s=2, sigma2=1.0, xmin2=1.0, rho=2.0)
         for bad in (0.0, -0.3, 1.5):
             with pytest.raises(InvalidRangeError):
-                find_M_star(p, target=bad, trials=8, seed=5)
+                find_M_star(TrialPlan(p, trials=8, master_seed=5), target=bad)
 
     def test_same_seed_shares_randomness_across_probes(self):
         p = ProblemParams(n=8, k=1, m=2, s=4, sigma2=0.01, xmin2=1.0, rho=2.0)
-        a = find_M_star(p, target=0.1, trials=200, seed=8)
-        b = find_M_star(p, target=0.1, trials=200, seed=8)
+        a = find_M_star(TrialPlan(p, trials=200, master_seed=8), target=0.1)
+        b = find_M_star(TrialPlan(p, trials=200, master_seed=8), target=0.1)
         assert a == b
 
 

@@ -7,14 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jsm2lab import (
-    MeasurementEnsemble,
-    ProblemParams,
-    SensingEnsemble,
-    SupportSet,
-    decode,
-    typicality_stat,
-)
 from jsm2lab.bounds import (
     fano_lower_value,
     log_binom,
@@ -23,7 +15,13 @@ from jsm2lab.bounds import (
     t_value,
     upper_bound_perr,
 )
-from jsm2lab.decoder import _candidate_scores
+from jsm2lab.decoder import _candidate_scores, decode, typicality_stat
+from jsm2lab.ensemble import (
+    MeasurementEnsemble,
+    ProblemParams,
+    SensingEnsemble,
+    SupportSet,
+)
 from jsm2lab.montecarlo import trend_residual, wilson_interval
 from jsm2lab.quadstats import QuadFormSpec, z_J_moments
 from oracles import brute_force_decode, brute_force_stats

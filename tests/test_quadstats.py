@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from jsm2lab import (
-    DomainError,
-    InvalidRangeError,
+from jsm2lab.decoder import typicality_stat
+from jsm2lab.ensemble import (
     ProblemParams,
     SupportSet,
     measure,
     sample_sensing,
     sample_sparse_ensemble,
     sample_support,
-    typicality_stat,
 )
+from jsm2lab.errors import DomainError, InvalidRangeError
 from jsm2lab.quadstats import (
     QuadFormSpec,
     TailCheckResult,
@@ -129,6 +128,17 @@ class TestSamplers:
         draws = sample_z_correct(4, 1, 1, trials=20_000, seed=919)
         centered = draws - np.mean(draws)
         assert float(np.mean(centered**3)) > 0.0
+
+    def test_need_at_least_one_vector(self):
+        # S = 0 would divide by zero in the chunk size
+        with pytest.raises(InvalidRangeError):
+            z_I_moments(6, 2, 0)
+        with pytest.raises(InvalidRangeError):
+            z_J_moments([], 6, 2)
+        with pytest.raises(InvalidRangeError):
+            sample_z_correct(6, 2, 0, trials=8, seed=1)
+        with pytest.raises(InvalidRangeError):
+            sample_z_incorrect([], 6, 2, trials=8, seed=1)
 
     def test_deterministic_in_seed(self):
         a = sample_z_incorrect([1.0, 2.0], 5, 1, trials=64, seed=920)
