@@ -29,7 +29,7 @@ from .bounds import (
 )
 from .decoder import DEFAULT_ENUMERATION_CAP, check_enumeration_budget, projection_residual
 from .ensemble import AMPLITUDE_FIXED, AMPLITUDE_MODES, ProblemParams
-from .errors import ConfigError, EnumerationBudgetError, Jsm2LabError
+from .errors import ConfigError, EnumerationBudgetError, InvalidRangeError, Jsm2LabError
 from .montecarlo import (
     TrialPlan,
     find_M_star,
@@ -231,6 +231,13 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     )
 
 
+def _sigma2_at(xmin2: float, snr: float) -> float:
+    """Noise variance that puts x_min^2 = xmin2 at the given SNR."""
+    if not 0 < snr < math.inf:
+        raise ConfigError(f"snr must be finite and > 0, got {snr}")
+    return xmin2 / snr
+
+
 def _build_params(pick, command: str, axis: Optional[str], values) -> ProblemParams:
     n, k, m, s = pick("n"), pick("k"), pick("m"), pick("s")
     axis_key = str(axis).lower() if axis is not None else None
@@ -257,7 +264,7 @@ def _build_params(pick, command: str, axis: Optional[str], values) -> ProblemPar
     if snr is not None and sigma2 is not None:
         raise ConfigError("give either --snr or --sigma2, not both")
     if sigma2 is None:
-        sigma2 = xmin2 / snr if snr is not None else DEFAULT_SIGMA2
+        sigma2 = _sigma2_at(xmin2, snr) if snr is not None else DEFAULT_SIGMA2
     rho = pick("rho", DEFAULT_RHO)
     try:
         return ProblemParams(
@@ -320,7 +327,7 @@ def _grid_plans(config: ExperimentConfig) -> List[TrialPlan]:
     for value in config.values:
         try:
             if config.axis == "snr":
-                point = replace(params, sigma2=params.xmin2 / float(value))
+                point = replace(params, sigma2=_sigma2_at(params.xmin2, float(value)))
             else:
                 point = replace(params, **{config.axis: int(value)})
         except Jsm2LabError as exc:
@@ -401,6 +408,8 @@ def _verify_rows(seed: int, trials: int) -> List[Tuple[str, float, float, float,
     margin for one-sided rows). Sample sizes follow the trials knob with
     floors keeping the binomial slack meaningful.
     """
+    if trials < 1:
+        raise InvalidRangeError(f"need trials >= 1, got {trials}")
     rows: List[Tuple[str, float, float, float, bool]] = []
     n_samples = max(int(trials), 2000)
 

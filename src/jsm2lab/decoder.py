@@ -28,8 +28,18 @@ each prefix is deflated once: its state is the columns after its last index
 and y, with the prefix's span projected out, plus the running extremes of
 its pivots. Extending a prefix by one column costs one more deflation of
 the columns that follow. The walk goes depth-first over index tables cached
-per (N, K), in bounded chunks of sibling groups, and scores each leaf chunk
-as a handful of array operations.
+per (N, K), in bounded chunks of sibling groups, and yields each leaf
+chunk's residual energies and rank flags per measurement vector.
+
+The walk does not care which trial a vector belongs to, so one walk scores
+a stack of T trials as T*S vectors. Its callers sum each trial's S vectors
+and hand the (T, candidates) scores to one selection step, vectorised over
+trials: it counts typical candidates, records the true support's verdict
+and keeps each trial's running best by a strict < across chunks and the
+first occurrence of the minimum within one, so ties go to the
+lexicographically smallest support. decode runs it with T = 1, decode_trials with the T
+trials that trials_per_walk allows, and typicality_stat reads the scores
+of its one candidate from the same walk.
 """
 
 from __future__ import annotations
@@ -58,6 +68,11 @@ DEFAULT_ENUMERATION_CAP = 10**6
 # Candidate supports processed per vectorized block inside decode.
 _SUPPORT_CHUNK = 16384
 
+# Vector-candidate scores one walk may hold: trials_per_walk stacks as many
+# trials as keep T * S * C(N, K) within it. Small problems pay per call, not
+# per flop; larger stacks stop paying off once the walk's arrays leave cache.
+_WALK_SCORES = 16384
+
 
 @dataclass(frozen=True)
 class TypicalityStat:
@@ -75,6 +90,24 @@ class TypicalityStat:
     @property
     def typical(self) -> bool:
         return bool(_typical(self.rank_ok, abs(self.centered), self.threshold))
+
+
+@dataclass(frozen=True)
+class TrialEvents:
+    """Failure events of a stack of T decoded trials, one array entry per trial.
+
+    The fields mean what DecodeOutcome's do: correct_typical and
+    decode_error are boolean arrays, num_incorrect_typical an integer
+    array, and event_failure their union.
+    """
+
+    correct_typical: np.ndarray
+    num_incorrect_typical: np.ndarray
+    decode_error: np.ndarray
+
+    @property
+    def event_failure(self) -> np.ndarray:
+        return ~self.correct_typical | (self.num_incorrect_typical > 0)
 
 
 @dataclass(frozen=True)
@@ -232,9 +265,10 @@ def typicality_stat(
             f"candidate {j.indices} (n={j.ambient_dim}) does not match k={params.k}, n={params.n}"
         )
     center, threshold = _window(params, delta)
-    columns = f.matrices[:, :, j.as_array()]
-    _, value, ok = next(_candidate_scores(columns, y.measurements, j.size))
-    return TypicalityStat(float(value[0]), float(value[0] - center), threshold, bool(ok[0]))
+    columns = f.matrices[None, :, :, j.as_array()]
+    _, value, ok = next(_trial_scores(columns, y.measurements[None], j.size))
+    value = float(value[0, 0])
+    return TypicalityStat(value, value - center, threshold, bool(ok[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -303,8 +337,9 @@ def _walk(levels, depth, lo, v, ry, pivot_min, pivot_max, pidx):
     x[:-1] projected out; its norms are the pivots |R_jj| of x[-1]. ry
     (m, s, p), pivot_min and pivot_max (s, p) hold the deflated measurements
     and the running pivot extremes of the parent prefixes, and pidx maps each
-    prefix of the block to its parent. Yields (first candidate index, values
-    summed over vectors, rank-ok flags) chunk by chunk in lexicographic order.
+    prefix of the block to its parent. Yields (first candidate index, values,
+    rank-ok flags) chunk by chunk in lexicographic order, both of shape
+    (s, candidates): one row per measurement vector.
     """
     norms, div = _pivots(v)
     pivot_min = np.minimum(pivot_min.take(pidx, axis=1), norms)
@@ -312,7 +347,7 @@ def _walk(levels, depth, lo, v, ry, pivot_min, pivot_max, pidx):
     ry = ry.take(pidx, axis=2)
     _deflate(ry, v, div)
     if depth == len(levels):
-        yield lo, _sq_norms(ry).sum(axis=0), _rank_ok(pivot_min, pivot_max).all(axis=0)
+        yield lo, _sq_norms(ry), _rank_ok(pivot_min, pivot_max)
         return
     hi = lo + v.shape[2]
     nxt = levels[depth]
@@ -327,8 +362,8 @@ def _candidate_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
     """Residual energies and rank flags of every size-k support.
 
     matrices is (s, m, n) and measurements (s, m). Yields (first candidate
-    index, values summed over the s vectors, rank-ok flags) chunk by chunk,
-    in lexicographic order of the supports.
+    index, values, rank-ok flags) chunk by chunk, in lexicographic order of
+    the supports; values and flags are (s, candidates), one row per vector.
     """
     s, _, n = matrices.shape
     ft = np.ascontiguousarray(matrices.transpose(1, 0, 2))  # level 1: raw columns
@@ -337,6 +372,64 @@ def _candidate_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
     pivot_min, pivot_max = np.full((s, 1), np.inf), np.zeros((s, 1))
     levels = _prefix_tables(n, k)
     return _walk(levels, 1, 0, ft, root, pivot_min, pivot_max, np.zeros(n, dtype=np.intp))
+
+
+def _trial_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
+    """Residual energies and rank flags of every size-k support in each of t trials.
+
+    matrices is (t, s, m, n) and measurements (t, s, m). One walk scores all
+    t*s vectors; yields (first candidate index, values summed over each
+    trial's s vectors, rank-ok flags over them) chunk by chunk, both of
+    shape (t, candidates).
+    """
+    t, s, m, n = matrices.shape
+    scores = _candidate_scores(matrices.reshape(t * s, m, n), measurements.reshape(t * s, m), k)
+    for lo, value, ok in scores:
+        c = value.shape[1]
+        yield lo, value.reshape(t, s, c).sum(axis=1), ok.reshape(t, s, c).all(axis=1)
+
+
+def _select(
+    matrices: np.ndarray,
+    measurements: np.ndarray,
+    params: ProblemParams,
+    i_true: int,
+    delta: Optional[float],
+    enumeration_cap: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The selection step over every candidate of t trials scored in one walk.
+
+    matrices and measurements are stacked as in _trial_scores. Returns per
+    trial the number of typical candidates, whether candidate i_true (its
+    lexicographic position, -1 for none) is typical, and the position of the
+    typical candidate with the smallest |centered| value (-1 when none is
+    typical). Chunks arrive in lexicographic order, and a strict < across
+    chunks with the first occurrence of the minimum within one keeps the
+    earliest tie.
+    """
+    center, threshold = _window(params, delta)
+    check_enumeration_budget(params, enumeration_cap)
+    t = matrices.shape[0]
+    num_typical = np.zeros(t, dtype=np.int64)
+    true_typical = np.zeros(t, dtype=bool)
+    best_abs = np.full(t, math.inf)
+    best = np.full(t, -1, dtype=np.intp)
+    for lo, value, ok in _trial_scores(matrices, measurements, params.k):
+        abs_centered = np.abs(value - center)
+        typical = _typical(ok, abs_centered, threshold)
+        num_typical += typical.sum(axis=1)
+        if lo <= i_true < lo + value.shape[1]:
+            true_typical = typical[:, i_true - lo]
+        # a row's smallest full-rank |centered| is its best typical candidate
+        # when that one passes the test; fmin skips NaN, and the first equal
+        # entry is the earliest of a tie
+        ranked = np.where(ok, abs_centered, math.inf)
+        cand_abs = np.fmin.reduce(ranked, axis=1)
+        local = (ranked == cand_abs[:, None]).argmax(axis=1)
+        better = _typical(True, cand_abs, threshold) & (cand_abs < best_abs)
+        best_abs[better] = cand_abs[better]
+        best[better] = lo + local[better]
+    return num_typical, true_typical, best
 
 
 def _support_at(levels: Tuple[_Level, ...], i: int) -> Tuple[int, ...]:
@@ -389,39 +482,19 @@ def decode(
     enumeration_cap.
     """
     _check_shapes(y, f, params)
-    center, threshold = _window(params, delta)
-    check_enumeration_budget(params, enumeration_cap)
     n, k = params.n, params.k
-
-    num_typical = 0
-    best_abs = math.inf
-    best_idx = -1
     i_true = _lex_rank(true_support.indices, n) if true_support is not None else -1
-    true_typical = False
-    for lo, value, ok in _candidate_scores(f.matrices, y.measurements, k):
-        hi = lo + value.size
-        abs_centered = np.abs(value - center)
-        typical = _typical(ok, abs_centered, threshold)
-        num_typical += int(typical.sum())
-        if lo <= i_true < hi:
-            true_typical = bool(typical[i_true - lo])
-        cand = np.flatnonzero(typical)
-        if cand.size:
-            local = cand[np.argmin(abs_centered[cand])]
-            cand_abs = float(abs_centered[local])
-            cand_idx = lo + int(local)
-            # chunks arrive in lexicographic order: a strict < keeps the earliest tie
-            if cand_abs < best_abs:
-                best_abs = cand_abs
-                best_idx = cand_idx
-
+    counts, verdicts, best = _select(
+        f.matrices[None], y.measurements[None], params, i_true, delta, enumeration_cap
+    )
     decoded = None
-    if best_idx >= 0:
-        decoded = SupportSet(_support_at(_prefix_tables(n, k), best_idx), n)
+    if best[0] >= 0:
+        decoded = SupportSet(_support_at(_prefix_tables(n, k), int(best[0])), n)
 
     if true_support is None:
         return DecodeOutcome(decoded)
-    num_incorrect = num_typical - int(true_typical)
+    true_typical = bool(verdicts[0])
+    num_incorrect = int(counts[0]) - int(true_typical)
     return DecodeOutcome(
         decoded=decoded,
         correct_typical=true_typical,
@@ -430,3 +503,40 @@ def decode(
         decode_error=decoded != true_support,
     )
 
+
+def trials_per_walk(params: ProblemParams) -> int:
+    """Trials to stack per decode_trials call: T*S*C(N, K) within _WALK_SCORES, and T >= 1."""
+    return max(1, _WALK_SCORES // (params.s * math.comb(params.n, params.k)))
+
+
+def decode_trials(
+    matrices: np.ndarray,
+    measurements: np.ndarray,
+    params: ProblemParams,
+    true_support: SupportSet,
+    delta: Optional[float] = None,
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
+) -> TrialEvents:
+    """Decode a stack of T trials that share one true support, in one walk.
+
+    matrices is (T, S, M, N) and measurements (T, S, M): trial t is the
+    instance decode would get as SensingEnsemble(matrices[t]) and
+    MeasurementEnsemble(measurements[t]), and its events are the ones decode
+    reports for it. trials_per_walk bounds the T worth stacking.
+    """
+    s, m, n = params.s, params.m, params.n
+    t = matrices.shape[0]
+    if matrices.shape != (t, s, m, n) or measurements.shape != (t, s, m):
+        raise InvalidDimensionError(
+            f"trial stacks {matrices.shape} and {measurements.shape} "
+            f"do not match params (s={s}, m={m}, n={n})"
+        )
+    i_true = _lex_rank(true_support.indices, n)
+    counts, verdicts, best = _select(
+        matrices, measurements, params, i_true, delta, enumeration_cap
+    )
+    return TrialEvents(
+        correct_typical=verdicts,
+        num_incorrect_typical=counts - verdicts,
+        decode_error=best != i_true,
+    )

@@ -13,12 +13,20 @@ typicality search, and tallies four events: the failure union the
 closed-form bounds control, the decode-error of the selection rule, the
 correct support failing the test, and at least one incorrect support
 passing it.
+
+Work is cut in two levels. A seed block of _TRIAL_BLOCK trials is the unit
+a worker runs; inside it, trials are drawn one by one from their own
+streams and scored in sub-blocks of decoder.trials_per_walk trials, each
+sub-block in a single walk of the decoder. A run, whether one plan or a
+whole sweep, maps all of its (plan, seed block) units over one process
+pool and sums each plan's counters in plan order.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +37,12 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 from . import bounds as _bounds
-from .decoder import DEFAULT_ENUMERATION_CAP, check_enumeration_budget, decode
+from .decoder import (
+    DEFAULT_ENUMERATION_CAP,
+    check_enumeration_budget,
+    decode_trials,
+    trials_per_walk,
+)
 from .ensemble import (
     AMPLITUDE_FIXED,
     AMPLITUDE_MODES,
@@ -169,22 +182,68 @@ def _signal(plan: TrialPlan, support: SupportSet, index: int) -> SparseEnsemble:
 
 
 def _run_block(args: Tuple[TrialPlan, int, int, int]) -> np.ndarray:
-    """Tally the four event counters over trials [lo, hi)."""
+    """Tally the four event counters over trials [lo, hi), a walk per sub-block."""
     plan, lo, hi, cap = args
     p = plan.params
     support = _pinned_support(plan)
     signal = _signal(plan, support, 0) if plan.fix_signal else None
+    step = trials_per_walk(p)
     counts = np.zeros(4, dtype=np.int64)
-    for trial in range(lo, hi):
-        x = signal if signal is not None else _signal(plan, support, trial)
-        f = sample_sensing(p.m, p.n, p.s, derive_rng(plan.master_seed, ROLE_MATRIX, trial))
-        y = measure(x, f, p.sigma2, derive_rng(plan.master_seed, ROLE_NOISE, trial))
-        out = decode(y, f, p, true_support=support, enumeration_cap=cap)
-        counts[0] += out.event_failure
-        counts[1] += out.decode_error
-        counts[2] += not out.correct_typical
-        counts[3] += out.num_incorrect_typical > 0
+    for first in range(lo, hi, step):
+        trials = range(first, min(first + step, hi))
+        fs = np.empty((len(trials), p.s, p.m, p.n))
+        ys = np.empty((len(trials), p.s, p.m))
+        for i, trial in enumerate(trials):
+            x = signal if signal is not None else _signal(plan, support, trial)
+            f = sample_sensing(p.m, p.n, p.s, derive_rng(plan.master_seed, ROLE_MATRIX, trial))
+            y = measure(x, f, p.sigma2, derive_rng(plan.master_seed, ROLE_NOISE, trial))
+            fs[i], ys[i] = f.matrices, y.measurements
+        out = decode_trials(fs, ys, p, support, enumeration_cap=cap)
+        counts += (
+            np.count_nonzero(out.event_failure),
+            np.count_nonzero(out.decode_error),
+            np.count_nonzero(~out.correct_typical),
+            np.count_nonzero(out.num_incorrect_typical > 0),
+        )
     return counts
+
+
+def _count_events(
+    plans: Sequence[TrialPlan], jobs: int, enumeration_cap: int
+) -> List[np.ndarray]:
+    """The four event counters of every plan, in plan order.
+
+    Every (plan, seed block) unit of the run goes to one map: in this
+    process when jobs == 1 or there is a single unit, else over one pool of
+    jobs workers. Budgets are the caller's to check first. A bad jobs count
+    and a crashed pool propagate.
+    """
+    if jobs < 1:
+        raise InvalidRangeError(f"jobs must be >= 1, got {jobs}")
+    units = [
+        (plan, lo, min(lo + _TRIAL_BLOCK, plan.trials), enumeration_cap)
+        for plan in plans
+        for lo in range(0, plan.trials, _TRIAL_BLOCK)
+    ]
+    if jobs == 1 or len(units) <= 1:
+        parts = list(map(_run_block, units))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_run_block, units))
+    parts = iter(parts)
+    return [
+        sum(itertools.islice(parts, -(-plan.trials // _TRIAL_BLOCK)), np.zeros(4, dtype=np.int64))
+        for plan in plans
+    ]
+
+
+def _rates(counts: np.ndarray, n: int) -> RunResult:
+    return RunResult(
+        event_failure=EstimateWithCI.from_counts(int(counts[0]), n),
+        decode_error=EstimateWithCI.from_counts(int(counts[1]), n),
+        correct_atypical=EstimateWithCI.from_counts(int(counts[2]), n),
+        incorrect_typical_rate=EstimateWithCI.from_counts(int(counts[3]), n),
+    )
 
 
 def run_trials(
@@ -200,25 +259,7 @@ def run_trials(
     before running anything when the support enumeration is infeasible.
     """
     check_enumeration_budget(plan.params, enumeration_cap)
-    if jobs < 1:
-        raise InvalidRangeError(f"jobs must be >= 1, got {jobs}")
-    blocks = [
-        (plan, lo, min(lo + _TRIAL_BLOCK, plan.trials), enumeration_cap)
-        for lo in range(0, plan.trials, _TRIAL_BLOCK)
-    ]
-    if jobs == 1 or len(blocks) == 1:
-        parts = map(_run_block, blocks)
-        counts = sum(parts, np.zeros(4, dtype=np.int64))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            counts = sum(pool.map(_run_block, blocks), np.zeros(4, dtype=np.int64))
-    n = plan.trials
-    return RunResult(
-        event_failure=EstimateWithCI.from_counts(int(counts[0]), n),
-        decode_error=EstimateWithCI.from_counts(int(counts[1]), n),
-        correct_atypical=EstimateWithCI.from_counts(int(counts[2]), n),
-        incorrect_typical_rate=EstimateWithCI.from_counts(int(counts[3]), n),
-    )
+    return _rates(_count_events([plan], jobs, enumeration_cap)[0], plan.trials)
 
 
 # ---- Sweeps ---------------------------------------------------------------
@@ -281,10 +322,11 @@ def sweep(
     """Run every plan and join estimates with analytic bounds, ordered by axis.
 
     axis is one of m, s, snr, n, k (case-insensitive) and fixes the row
-    order. A grid point that cannot run (enumeration budget) or has no
-    bound (inadmissible slack, ...) becomes a row with the error recorded
-    instead of aborting the remaining points; run-level failures (a bad
-    jobs count, a crashed worker pool) propagate.
+    order. All grid points run as one job over one worker pool (jobs > 1).
+    A grid point that cannot run (enumeration budget) or has no bound
+    (inadmissible slack, ...) becomes a row with the error recorded instead
+    of aborting the remaining points; run-level failures (a bad jobs count,
+    a crashed worker pool) propagate.
     """
     key = _AXIS_KEYS.get(str(axis).lower())
     if key is None:
@@ -292,15 +334,20 @@ def sweep(
             f"axis must be one of {sorted(_AXIS_KEYS)}, got {axis!r}"
         )
     ordered = sorted(plans, key=lambda plan: key(plan.params))
-    rows: List[SweepRow] = []
+    budget_errors: List[Optional[str]] = []
     for plan in ordered:
-        errors = []
-        rates = None
-        bound = None
         try:
-            rates = run_trials(plan, jobs=jobs, enumeration_cap=enumeration_cap)
+            check_enumeration_budget(plan.params, enumeration_cap)
+            budget_errors.append(None)
         except EnumerationBudgetError as exc:  # recorded per-row by contract
-            errors.append(f"trials: {exc}")
+            budget_errors.append(f"trials: {exc}")
+    runnable = [plan for plan, err in zip(ordered, budget_errors) if err is None]
+    counts = iter(_count_events(runnable, jobs, enumeration_cap))
+    rows: List[SweepRow] = []
+    for plan, budget_error in zip(ordered, budget_errors):
+        errors = [budget_error] if budget_error else []
+        rates = None if budget_error else _rates(next(counts), plan.trials)
+        bound = None
         try:
             bound = _bounds.upper_bound_perr(plan.params)
         except Jsm2LabError as exc:

@@ -236,13 +236,24 @@ class TestCommands:
 
     def test_exit_code_1_on_broken_worker_pool_inside_a_run(self, monkeypatch, capsys):
         # a crashed pool is a run-level failure, not a sweep row's error
-        def crash(*args, **kwargs):
-            raise BrokenProcessPool("a worker process terminated abruptly")
+        class CrashingPool:
+            def __init__(self, max_workers):
+                pass
 
-        monkeypatch.setattr(jsm2lab.montecarlo, "run_trials", crash)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, units):
+                raise BrokenProcessPool("a worker process terminated abruptly")
+
+        monkeypatch.setattr(jsm2lab.montecarlo, "ProcessPoolExecutor", CrashingPool)
+        # two seed blocks, so the run needs the pool
         rc = main(
             ["simulate", "--n", "6", "--k", "2", "--m", "4", "--s", "1",
-             "--trials", "10", "--jobs", "2"]
+             "--trials", "300", "--jobs", "2"]
         )
         assert rc == 1
         captured = capsys.readouterr()
@@ -269,6 +280,36 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("snr", ["0", "-1", "inf", "nan"])
+    def test_bounds_refuses_a_non_positive_or_non_finite_snr(self, snr, capsys):
+        rc = main(["bounds", "--n", "8", "--k", "2", "--s", "1", "--m", "4", "--snr", snr])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_sweep_refuses_a_zero_snr_grid_value(self, capsys):
+        rc = main(
+            ["sweep", "--n", "8", "--k", "2", "--s", "1", "--m", "4", "--trials", "10",
+             "--axis", "snr", "--values", "10,0"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    def test_verify_refuses_fewer_than_one_trial(self, trials, capsys):
+        rc = main(["verify", "--seed", "7", "--trials", trials])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_verify_keeps_its_sample_floor_for_one_trial(self, capsys):
+        assert main(["verify", "--seed", "7", "--trials", "1"]) == 0
+        assert capsys.readouterr().out.startswith("name,observed,reference,margin,status")
 
     def test_exit_code_4_on_budget(self, capsys):
         rc = main(

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from jsm2lab.decoder import decode, projection_residual, typicality_stat
+from jsm2lab import decoder
+from jsm2lab.decoder import decode, decode_trials, projection_residual, typicality_stat
 from jsm2lab.ensemble import (
     MeasurementEnsemble,
     ProblemParams,
@@ -250,6 +251,84 @@ class TestDecode:
             assert out.event_failure == (
                 (not out.correct_typical) or out.num_incorrect_typical > 0
             )
+
+
+class TestExactTies:
+    # column dup repeats column src in every sensing matrix, so the true
+    # support and the one with src swapped for dup span the same columns
+    # and score identically; a four-candidate chunk puts their sibling
+    # groups in different chunks of the walk, the default chunk in one
+    N, M, S = 8, 4, 2
+
+    def _tied_trials(self, true, src, dup, trials):
+        n, m, s = self.N, self.M, self.S
+        support = SupportSet(true, n)
+        p = ProblemParams(n=n, k=len(true), m=m, s=s, sigma2=1e-4, xmin2=1.0)
+        instances = []
+        for t in range(trials):
+            x = sample_sparse_ensemble(support, s, 1.0, seed=100 + t)
+            matrices = sample_sensing(m, n, s, 200 + t).matrices.copy()
+            matrices[:, :, dup] = matrices[:, :, src]
+            f = SensingEnsemble(matrices)
+            instances.append((f, measure(x, f, p.sigma2, 300 + t)))
+        return p, support, instances
+
+    @pytest.mark.parametrize("split", [True, False])
+    @pytest.mark.parametrize(
+        "true, src, dup, earlier, later",
+        [
+            ((0, 5), 0, 2, (0, 5), (2, 5)),  # the true support comes first
+            ((2, 5), 2, 0, (0, 5), (2, 5)),  # its tied twin comes first
+        ],
+    )
+    def test_earlier_support_wins_a_tie(self, monkeypatch, true, src, dup, earlier, later, split):
+        if split:
+            monkeypatch.setattr(decoder, "_SUPPORT_CHUNK", 4)
+        p, support, instances = self._tied_trials(true, src, dup, trials=3)
+        first, second = decoder._lex_rank(earlier, p.n), decoder._lex_rank(later, p.n)
+        for f, y in instances:
+            chunk_of, value_of = {}, {}
+            for lo, value, _ in decoder._candidate_scores(f.matrices, y.measurements, p.k):
+                for i in (first, second):
+                    if lo <= i < lo + value.shape[1]:
+                        chunk_of[i], value_of[i] = lo, value[:, i - lo].sum()
+            assert (chunk_of[first] != chunk_of[second]) == split
+            assert value_of[first] == value_of[second]
+            out = decode(y, f, p, true_support=support)
+            assert out.decoded == SupportSet(earlier, p.n)
+        events = decode_trials(
+            np.stack([f.matrices for f, _ in instances]),
+            np.stack([y.measurements for _, y in instances]),
+            p,
+            support,
+        )
+        assert events.decode_error.tolist() == [earlier != true] * len(instances)
+        assert events.correct_typical.all()
+
+
+class TestDecodeTrials:
+    def test_each_trial_gets_decodes_events(self):
+        instances = [
+            _instance(7, 2, 4, 3, 0.3, 1.0, seeds=(5, 10 + t, 20 + t, 30 + t)) for t in range(6)
+        ]
+        support, _, _, _, p = instances[0]
+        events = decode_trials(
+            np.stack([f.matrices for _, _, f, _, _ in instances]),
+            np.stack([y.measurements for _, _, _, y, _ in instances]),
+            p,
+            support,
+        )
+        outs = [decode(y, f, p, true_support=support) for _, _, f, y, _ in instances]
+        assert events.correct_typical.tolist() == [o.correct_typical for o in outs]
+        assert events.num_incorrect_typical.tolist() == [o.num_incorrect_typical for o in outs]
+        assert events.decode_error.tolist() == [o.decode_error for o in outs]
+        assert events.event_failure.tolist() == [o.event_failure for o in outs]
+        assert 0 < sum(o.event_failure for o in outs) < len(outs)
+
+    def test_shape_mismatch(self):
+        sup, x, f, y, p = _instance(6, 2, 4, 2, 1.0, 4.0)
+        with pytest.raises(InvalidDimensionError):
+            decode_trials(f.matrices[None, :1], y.measurements[None], p, sup)
 
 
 class TestDefaultDelta:

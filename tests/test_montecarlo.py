@@ -4,8 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from jsm2lab import decoder, montecarlo
 from jsm2lab.bounds import upper_bound_perr
-from jsm2lab.ensemble import ProblemParams
+from jsm2lab.decoder import decode, trials_per_walk
+from jsm2lab.ensemble import (
+    ProblemParams,
+    measure,
+    sample_sensing,
+    sample_sparse_ensemble,
+    sample_support,
+)
 from jsm2lab.errors import InvalidParameterError, InvalidRangeError
 from jsm2lab.montecarlo import (
     MC_CSV_COLUMNS,
@@ -20,6 +28,7 @@ from jsm2lab.montecarlo import (
     wilson_interval,
     write_sweep_csv,
 )
+from jsm2lab.seeding import ROLE_MATRIX, ROLE_NOISE, ROLE_SIGNAL, ROLE_SUPPORT, derive_rng
 
 Z = 1.959963984540054
 
@@ -144,6 +153,59 @@ class TestRunTrials:
         assert run_trials(plan) == res
 
 
+def _per_trial_counts(plan, lo, hi):
+    """The four event counters over trials [lo, hi), one public decode per trial."""
+    p = plan.params
+    support = sample_support(p.n, p.k, derive_rng(plan.master_seed, ROLE_SUPPORT, 0))
+    counts = np.zeros(4, dtype=np.int64)
+    for trial in range(lo, hi):
+        x = sample_sparse_ensemble(
+            support, p.s, p.x_min, plan.amplitude_mode, plan.x_max,
+            seed=derive_rng(plan.master_seed, ROLE_SIGNAL, 0 if plan.fix_signal else trial),
+        )
+        f = sample_sensing(p.m, p.n, p.s, derive_rng(plan.master_seed, ROLE_MATRIX, trial))
+        y = measure(x, f, p.sigma2, derive_rng(plan.master_seed, ROLE_NOISE, trial))
+        out = decode(y, f, p, true_support=support)
+        counts += (out.event_failure, out.decode_error, not out.correct_typical,
+                   out.num_incorrect_typical > 0)
+    return counts
+
+
+class TestBatchedBlock:
+    POINTS = {
+        1: dict(n=6, k=1, m=3, s=2, sigma2=0.5, xmin2=1.0, rho=4.0),
+        2: dict(n=8, k=2, m=4, s=2, sigma2=0.3, xmin2=1.0, rho=4.0),
+        3: dict(n=8, k=3, m=6, s=2, sigma2=0.1, xmin2=1.0, rho=6.0),
+    }
+    SIGNALS = {
+        "pinned": dict(),
+        "redrawn": dict(fix_signal=False),
+        "uniform": dict(fix_signal=False, amplitude_mode="uniform", x_max=2.0),
+    }
+
+    @pytest.mark.parametrize("signal", sorted(SIGNALS))
+    @pytest.mark.parametrize("k", sorted(POINTS))
+    def test_counters_match_a_decode_per_trial(self, monkeypatch, k, signal):
+        params = ProblemParams(**self.POINTS[k])
+        plan = TrialPlan(params, trials=64, master_seed=40 + k, **self.SIGNALS[signal])
+        # sub-blocks of 5 trials: 37 trials end in a partial one
+        monkeypatch.setattr(decoder, "_WALK_SCORES", 5 * params.s * math.comb(params.n, k))
+        assert trials_per_walk(params) == 5
+        lo, hi = 3, 40
+        batched = montecarlo._run_block((plan, lo, hi, 10**6))
+        reference = _per_trial_counts(plan, lo, hi)
+        assert batched.tolist() == reference.tolist()
+        # every event occurs, and not in every trial
+        assert (reference > 0).all() and reference[0] < hi - lo
+
+    def test_last_block_at_the_default_walk_size(self):
+        params = ProblemParams(n=16, k=2, m=5, s=4, sigma2=0.05, xmin2=1.0)
+        plan = TrialPlan(params, trials=300, master_seed=8)
+        assert 1 < trials_per_walk(params) < 300 - 256
+        batched = montecarlo._run_block((plan, 256, 300, 10**6))
+        assert batched.tolist() == _per_trial_counts(plan, 256, 300).tolist()
+
+
 class TestSweep:
     def _plans(self, ms, trials=64):
         return [
@@ -199,6 +261,21 @@ class TestSweep:
         a = sweep_csv_lines(sweep(plans, axis="m", jobs=1))
         b = sweep_csv_lines(sweep(plans, axis="m", jobs=2))
         assert a == b
+
+    def test_one_pool_serves_the_whole_sweep(self, monkeypatch):
+        pools = []
+
+        class CountingPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        plans = self._plans([3, 5, 7], trials=300)
+        pooled = sweep_csv_lines(sweep(plans, axis="m", jobs=2))
+        assert len(pools) == 1
+        assert pooled == sweep_csv_lines(sweep(plans, axis="m", jobs=1))
+        assert len(pools) == 1
 
     def test_write_csv_and_metadata(self, tmp_path):
         rows = sweep(self._plans([3]), axis="m")

@@ -209,8 +209,9 @@ def test_every_candidate_matches_dense_rows():
     values = np.empty(math.comb(n, k))
     rank_ok = np.empty(values.size, dtype=bool)
     for lo, value, ok in _candidate_scores(f, y, k):
-        values[lo : lo + value.size] = value
-        rank_ok[lo : lo + value.size] = ok
+        # one row per vector: a candidate's value sums them, its rank needs all
+        values[lo : lo + value.shape[1]] = value.sum(axis=0)
+        rank_ok[lo : lo + value.shape[1]] = ok.all(axis=0)
     # with an infinite slack a candidate is typical exactly when it has full rank
     rows = brute_force_stats(y, f, 1.0, k, math.inf)
     assert [r[3] for r in rows] == rank_ok.tolist()
