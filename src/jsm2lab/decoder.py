@@ -37,9 +37,9 @@ and hand the (T, candidates) scores to one selection step, vectorised over
 trials: it counts typical candidates, records the true support's verdict
 and keeps each trial's running best by a strict < across chunks and the
 first occurrence of the minimum within one, so ties go to the
-lexicographically smallest support. decode runs it with T = 1, decode_trials with the T
-trials that trials_per_walk allows, and typicality_stat reads the scores
-of its one candidate from the same walk.
+lexicographically smallest support. decode runs it with T = 1,
+decode_trials with the T trials that trials_per_walk allows, and
+typicality_stat reads the scores of its one candidate from the same walk.
 """
 
 from __future__ import annotations

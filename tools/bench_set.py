@@ -2,11 +2,12 @@
 
     python3 tools/bench_set.py --runs 10 --out-dir . PARENT=/path/a CHANGE=/path/b
 
-Each LABEL=CHECKOUT names a source checkout with its own perfbench/. For
-every workload in BENCHMARK.json, run i (seed --seed + i) runs
-``python3 perfbench/run.py --trace 0`` once in each checkout, in the given
-order on even i and reversed on odd i, so that neither side always runs
-first on a drifting host. Run length is the benchmark's run_seconds.
+The two LABEL=CHECKOUT arguments name the parent and the changed source
+checkout, each with its own perfbench/. For every workload in
+BENCHMARK.json, run i (seed i, from 1 to --runs) runs
+``python3 perfbench/run.py --trace 0`` once in each checkout, the parent
+first on odd i and the change first on even i, so that neither side always
+runs first on a drifting host. Run length is the benchmark's run_seconds.
 
 BENCH_<label>.json holds, per workload, the record and result line of every
 run and, per end-to-end metric, the median and the quartiles of the runs,
@@ -71,15 +72,16 @@ def summarize(runs: List[Dict]) -> Dict[str, Dict]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT")
+    parser.add_argument("parent", metavar="LABEL=CHECKOUT", help="the parent checkout")
+    parser.add_argument("change", metavar="LABEL=CHECKOUT", help="the changed checkout")
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first run")
     parser.add_argument("--out-dir", default=".")
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be >= 2 to give quartiles")
+    seeds = range(1, args.runs + 1)
     sides = []
-    for item in args.checkouts:
+    for item in (args.parent, args.change):
         label, sep, path = item.partition("=")
         checkout = Path(path).resolve()
         if not sep or not label or not (checkout / "perfbench" / "run.py").is_file():
@@ -90,15 +92,15 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     runs = {label: {w: [] for w in workloads} for label, _ in sides}
     for workload in workloads:
-        for i in range(args.runs):
-            order = sides if i % 2 == 0 else sides[::-1]
+        for seed in seeds:
+            order = sides if seed % 2 else sides[::-1]
             for position, (label, checkout) in enumerate(order):
                 start = time.monotonic()
-                run = run_once(checkout, workload, args.seed + i, spec["run_seconds"])
-                run.update(seed=args.seed + i, position=position)
+                run = run_once(checkout, workload, seed, spec["run_seconds"])
+                run.update(seed=seed, position=position)
                 runs[label][workload].append(run)
                 metrics = run["result"]["metrics"]
-                print(f"{workload} seed {args.seed + i} {label}: "
+                print(f"{workload} seed {seed} {label}: "
                       f"trials_per_s {metrics['trials_per_s']['value']:.6g}, "
                       f"failed {run['result']['failed']} ({time.monotonic() - start:.0f} s)",
                       file=sys.stderr)
@@ -112,8 +114,8 @@ def main(argv=None) -> int:
             "command": "python3 perfbench/run.py --workload W --seed N "
                        f"--seconds {spec['run_seconds']} --trace 0",
             "runs_per_workload": args.runs,
-            "seeds": [args.seed + i for i in range(args.runs)],
-            "first_on_even_runs": sides[0][0],
+            "seeds": list(seeds),
+            "first_on_odd_seeds": sides[0][0],
             "workloads": {
                 w: {"summary": summarize(runs[label][w]), "runs": runs[label][w]}
                 for w in workloads
