@@ -421,14 +421,16 @@ def _select(
         if lo <= i_true < lo + value.shape[1]:
             true_typical = typical[:, i_true - lo]
         # a row's smallest full-rank |centered| is its best typical candidate
-        # when that one passes the test; fmin skips NaN, and the first equal
-        # entry is the earliest of a tie
-        ranked = np.where(ok, abs_centered, math.inf)
-        cand_abs = np.fmin.reduce(ranked, axis=1)
-        local = (ranked == cand_abs[:, None]).argmax(axis=1)
+        # when that one passes the test; fmin skips NaN. Only rows whose best
+        # improves look for the position, the first equal entry, which is the
+        # earliest of a tie
+        cand_abs = np.fmin.reduce(abs_centered, axis=1, where=ok, initial=math.inf)
         better = _typical(True, cand_abs, threshold) & (cand_abs < best_abs)
-        best_abs[better] = cand_abs[better]
-        best[better] = lo + local[better]
+        if better.any():
+            rows = np.flatnonzero(better)
+            hit = (abs_centered[rows] == cand_abs[rows, None]) & ok[rows]
+            best_abs[rows] = cand_abs[rows]
+            best[rows] = lo + hit.argmax(axis=1)
     return num_typical, true_typical, best
 
 

@@ -1,8 +1,10 @@
 """Seeded Monte Carlo estimation of the decoding failure probabilities.
 
-Every trial draws its randomness from generators derived by (master seed,
-role, trial index), so results are a pure function of the plan: worker
-count and scheduling cannot change a single bit of output. The reduction
+Randomness comes from generators derived by (master seed, role, index):
+index 0 holds the plan's pinned support and signal, and seed block b draws
+every trial's matrices, noise and redrawn signals in order from index
+b + 1 of each role. Results are a pure function of the plan: worker count
+and scheduling cannot change a single bit of output. The reduction
 is a vector of event counters, which makes block-parallel execution exact,
 and estimates carry Wilson 95% intervals so zero-success cells still get
 honest uncertainty.
@@ -15,15 +17,19 @@ correct support failing the test, and at least one incorrect support
 passing it.
 
 Work is cut in two levels. A seed block of _TRIAL_BLOCK trials is the unit
-a worker runs; inside it, trials are drawn one by one from their own
-streams and scored in sub-blocks of decoder.trials_per_walk trials, each
-sub-block in a single walk of the decoder. A run, whether one plan or a
-whole sweep, maps all of its (plan, seed block) units over one process
-pool and sums each plan's counters in plan order.
+a worker runs; inside it, trials are drawn and scored in sub-blocks of
+decoder.trials_per_walk trials, one sampler call per role and a single
+walk of the decoder per sub-block. Matrices and noise are sequential
+standard-normal draws, so the sub-block size does not change them;
+redrawn signals are drawn once per seed block. A run, whether one plan or
+a whole sweep, maps all of its (plan, seed block) units over one process
+pool and sums each plan's counters in plan order; find_M_star keeps one
+pool for all of its probes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -163,42 +169,72 @@ class RunResult:
     incorrect_typical_rate: EstimateWithCI
 
 
+def _blocks(plan: TrialPlan) -> int:
+    """Seed blocks of _TRIAL_BLOCK trials in the plan; the last may be partial."""
+    return -(-plan.trials // _TRIAL_BLOCK)
+
+
 def _pinned_support(plan: TrialPlan) -> SupportSet:
     p = plan.params
     return sample_support(p.n, p.k, derive_rng(plan.master_seed, ROLE_SUPPORT, 0))
 
 
-def _signal(plan: TrialPlan, support: SupportSet, index: int) -> SparseEnsemble:
-    """The signal ensemble drawn from stream index: 0 when pinned, else the trial."""
+def _block_rng(plan: TrialPlan, role: int, block: int) -> np.random.Generator:
+    """The stream of one role in seed block `block`.
+
+    Index 0 of every role is reserved for the plan's pinned draws (support
+    and pinned signal), so seed block b draws from index b + 1.
+    """
+    return derive_rng(plan.master_seed, role, block + 1)
+
+
+def _signals(plan: TrialPlan, support: SupportSet, trials: int, block: int) -> np.ndarray:
+    """The (trials * S, N) signal vectors of one seed block's trials, S rows per trial.
+
+    A pinned signal is drawn once from stream index 0 and repeated; redrawn
+    signals come from the block's stream in one call, since the sampler
+    draws every sign before any magnitude and a split would move them.
+    """
     p = plan.params
-    return sample_sparse_ensemble(
-        support,
-        p.s,
-        p.x_min,
-        plan.amplitude_mode,
-        plan.x_max,
-        seed=derive_rng(plan.master_seed, ROLE_SIGNAL, index),
+    if plan.fix_signal:
+        draws, rng = 1, derive_rng(plan.master_seed, ROLE_SIGNAL, 0)
+    else:
+        draws, rng = trials, _block_rng(plan, ROLE_SIGNAL, block)
+    x = sample_sparse_ensemble(
+        support, draws * p.s, p.x_min, plan.amplitude_mode, plan.x_max, seed=rng
     )
+    return np.tile(x.vectors, (trials // draws, 1))
 
 
-def _run_block(args: Tuple[TrialPlan, int, int, int]) -> np.ndarray:
-    """Tally the four event counters over trials [lo, hi), a walk per sub-block."""
-    plan, lo, hi, cap = args
+def _run_block(args: Tuple[TrialPlan, int, int]) -> np.ndarray:
+    """Tally the four event counters over the trials of one seed block.
+
+    The block draws each role from its own stream and scores sub-blocks of
+    trials_per_walk trials, a walk each. A sub-block of T trials takes one
+    call per sampler with T*S vectors; matrices and noise are sequential
+    standard-normal draws, so the sub-block size does not change them.
+    """
+    plan, block, cap = args
     p = plan.params
+    trials = min(_TRIAL_BLOCK, plan.trials - block * _TRIAL_BLOCK)
     support = _pinned_support(plan)
-    signal = _signal(plan, support, 0) if plan.fix_signal else None
+    signals = _signals(plan, support, trials, block)
+    f_rng = _block_rng(plan, ROLE_MATRIX, block)
+    n_rng = _block_rng(plan, ROLE_NOISE, block)
     step = trials_per_walk(p)
     counts = np.zeros(4, dtype=np.int64)
-    for first in range(lo, hi, step):
-        trials = range(first, min(first + step, hi))
-        fs = np.empty((len(trials), p.s, p.m, p.n))
-        ys = np.empty((len(trials), p.s, p.m))
-        for i, trial in enumerate(trials):
-            x = signal if signal is not None else _signal(plan, support, trial)
-            f = sample_sensing(p.m, p.n, p.s, derive_rng(plan.master_seed, ROLE_MATRIX, trial))
-            y = measure(x, f, p.sigma2, derive_rng(plan.master_seed, ROLE_NOISE, trial))
-            fs[i], ys[i] = f.matrices, y.measurements
-        out = decode_trials(fs, ys, p, support, enumeration_cap=cap)
+    for first in range(0, trials, step):
+        t = min(step, trials - first)
+        x = SparseEnsemble(signals[first * p.s : (first + t) * p.s], support)
+        f = sample_sensing(p.m, p.n, t * p.s, f_rng)
+        y = measure(x, f, p.sigma2, n_rng)
+        out = decode_trials(
+            f.matrices.reshape(t, p.s, p.m, p.n),
+            y.measurements.reshape(t, p.s, p.m),
+            p,
+            support,
+            enumeration_cap=cap,
+        )
         counts += (
             np.count_nonzero(out.event_failure),
             np.count_nonzero(out.decode_error),
@@ -209,30 +245,31 @@ def _run_block(args: Tuple[TrialPlan, int, int, int]) -> np.ndarray:
 
 
 def _count_events(
-    plans: Sequence[TrialPlan], jobs: int, enumeration_cap: int
+    plans: Sequence[TrialPlan],
+    jobs: int,
+    enumeration_cap: int,
+    pool: Optional[ProcessPoolExecutor] = None,
 ) -> List[np.ndarray]:
     """The four event counters of every plan, in plan order.
 
     Every (plan, seed block) unit of the run goes to one map: in this
     process when jobs == 1 or there is a single unit, else over one pool of
-    jobs workers. Budgets are the caller's to check first. A bad jobs count
-    and a crashed pool propagate.
+    jobs workers, the caller's pool when one is given. Budgets are the
+    caller's to check first. A bad jobs count and a crashed pool propagate.
     """
     if jobs < 1:
         raise InvalidRangeError(f"jobs must be >= 1, got {jobs}")
-    units = [
-        (plan, lo, min(lo + _TRIAL_BLOCK, plan.trials), enumeration_cap)
-        for plan in plans
-        for lo in range(0, plan.trials, _TRIAL_BLOCK)
-    ]
+    units = [(plan, block, enumeration_cap) for plan in plans for block in range(_blocks(plan))]
     if jobs == 1 or len(units) <= 1:
         parts = list(map(_run_block, units))
+    elif pool is not None:
+        parts = list(pool.map(_run_block, units))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_run_block, units))
+        with ProcessPoolExecutor(max_workers=jobs) as own:
+            parts = list(own.map(_run_block, units))
     parts = iter(parts)
     return [
-        sum(itertools.islice(parts, -(-plan.trials // _TRIAL_BLOCK)), np.zeros(4, dtype=np.int64))
+        sum(itertools.islice(parts, _blocks(plan)), np.zeros(4, dtype=np.int64))
         for plan in plans
     ]
 
@@ -254,7 +291,7 @@ def run_trials(
     """Estimate all four event rates under the given plan.
 
     jobs > 1 fans fixed-size trial blocks over worker processes; the block
-    split and per-trial seeds are invariant to jobs, so output is
+    split and per-block streams are invariant to jobs, so output is
     bit-identical for any worker count. Raises EnumerationBudgetError
     before running anything when the support enumeration is infeasible.
     """
@@ -463,30 +500,35 @@ def find_M_star(
     if not 0.0 < target <= 1.0:
         raise InvalidRangeError(f"target must lie in (0, 1], got {target}")
 
+    check_enumeration_budget(plan.params, enumeration_cap)
     evaluations: Dict[int, EstimateWithCI] = {}
-
-    def probe(m: int) -> float:
-        point = replace(plan, params=replace(plan.params, m=m))
-        est = run_trials(point, jobs=jobs, enumeration_cap=enumeration_cap).event_failure
-        evaluations[m] = est
-        return est.point
 
     def monotone_ok() -> bool:
         pts = [evaluations[m].point for m in sorted(evaluations)]
         return all(a >= b for a, b in zip(pts, pts[1:]))
 
-    lo, hi = plan.params.k + 1, plan.params.n
-    if probe(lo) <= target:
-        return MStarResult(lo, False, False, None, evaluations)
-    if lo == hi or probe(hi) > target:
-        return MStarResult(None, True, not monotone_ok(), None, evaluations)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if probe(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return MStarResult(hi, False, not monotone_ok(), (lo, hi), evaluations)
+    # one pool serves every probe of the search
+    opened = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
+    with opened as pool:
+
+        def probe(m: int) -> float:
+            point = replace(plan, params=replace(plan.params, m=m))
+            counts = _count_events([point], jobs, enumeration_cap, pool)[0]
+            evaluations[m] = _rates(counts, point.trials).event_failure
+            return evaluations[m].point
+
+        lo, hi = plan.params.k + 1, plan.params.n
+        if probe(lo) <= target:
+            return MStarResult(lo, False, False, None, evaluations)
+        if lo == hi or probe(hi) > target:
+            return MStarResult(None, True, not monotone_ok(), None, evaluations)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if probe(mid) <= target:
+                hi = mid
+            else:
+                lo = mid
+        return MStarResult(hi, False, not monotone_ok(), (lo, hi), evaluations)
 
 
 def trend_residual(values: Sequence[float]) -> float:

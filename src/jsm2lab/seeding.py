@@ -1,10 +1,13 @@
 """Counter-based random-stream derivation from a single master seed.
 
-Every random object in an experiment (one support draw, one signal draw,
-the sensing matrices of trial 17, ...) gets its own stream derived from
-the master seed plus a small integer key (role, index...). Streams are
-therefore independent of execution order and of the number of workers,
-which is what makes parallel Monte Carlo runs reproducible byte for byte.
+Every stream of an experiment gets its own generator, derived from the
+master seed plus a small integer key (role, index...). The Monte Carlo
+runner keys its streams by role and index: index 0 holds what a plan pins
+(its support, its pinned signal), and seed block b of trials draws all of
+its sensing matrices, noise and redrawn signals from index b + 1 of the
+matching role. Streams are therefore independent of execution order and
+of the number of workers, which is what makes parallel Monte Carlo runs
+reproducible byte for byte.
 """
 
 from __future__ import annotations

@@ -190,6 +190,26 @@ class TestCommands:
         assert "saturated,false" in out
         assert "m,event_fail,ci_low,ci_high" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "8", "--k", "2", "--m", "5", "--s", "2", "--snr", "4"],
+        ["simulate", "--n", "8", "--k", "2", "--m", "5", "--s", "2", "--snr", "4",
+         "--fix-signal", "false", "--amplitude", "uniform", "--xmax", "2"],
+        ["find-m", "--n", "10", "--k", "2", "--s", "8", "--snr", "30", "--target", "0.1"],
+    ])
+    def test_output_bytes_identical_across_jobs(self, argv, tmp_path, capsys):
+        # three seed blocks, so --jobs 2 runs them over a pool
+        argv = argv + ["--trials", "600", "--seed", "9"]
+        stdout, written = [], []
+        for jobs in ("1", "2"):
+            assert main(argv + ["--jobs", jobs]) == 0
+            stdout.append(capsys.readouterr().out)
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+            assert capsys.readouterr().out == stdout[-1]
+            written.append(out.read_bytes())
+        assert stdout[0] == stdout[1]
+        assert written[0] == written[1] == stdout[0].encode()
+
     def test_verify_passes(self, capsys):
         rc = main(["verify", "--seed", "7", "--trials", "2000"])
         out = capsys.readouterr().out

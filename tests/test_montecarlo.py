@@ -8,7 +8,10 @@ from jsm2lab import decoder, montecarlo
 from jsm2lab.bounds import upper_bound_perr
 from jsm2lab.decoder import decode, trials_per_walk
 from jsm2lab.ensemble import (
+    MeasurementEnsemble,
     ProblemParams,
+    SensingEnsemble,
+    SparseEnsemble,
     measure,
     sample_sensing,
     sample_sparse_ensemble,
@@ -153,22 +156,48 @@ class TestRunTrials:
         assert run_trials(plan) == res
 
 
-def _per_trial_counts(plan, lo, hi):
-    """The four event counters over trials [lo, hi), one public decode per trial."""
+def _block_instances(plan, block):
+    """Support and per-trial (f, y) of one seed block, from its streams drawn whole.
+
+    Index 0 of each role is the plan's pinned draw; seed block b draws from
+    index b + 1, one sampler call per role for the whole block.
+    """
     p = plan.params
+    trials = min(256, plan.trials - 256 * block)
     support = sample_support(p.n, p.k, derive_rng(plan.master_seed, ROLE_SUPPORT, 0))
-    counts = np.zeros(4, dtype=np.int64)
-    for trial in range(lo, hi):
+    if plan.fix_signal:
         x = sample_sparse_ensemble(
             support, p.s, p.x_min, plan.amplitude_mode, plan.x_max,
-            seed=derive_rng(plan.master_seed, ROLE_SIGNAL, 0 if plan.fix_signal else trial),
+            seed=derive_rng(plan.master_seed, ROLE_SIGNAL, 0),
         )
-        f = sample_sensing(p.m, p.n, p.s, derive_rng(plan.master_seed, ROLE_MATRIX, trial))
-        y = measure(x, f, p.sigma2, derive_rng(plan.master_seed, ROLE_NOISE, trial))
-        out = decode(y, f, p, true_support=support)
+        x = SparseEnsemble(np.tile(x.vectors, (trials, 1)), support)
+    else:
+        x = sample_sparse_ensemble(
+            support, trials * p.s, p.x_min, plan.amplitude_mode, plan.x_max,
+            seed=derive_rng(plan.master_seed, ROLE_SIGNAL, block + 1),
+        )
+    f = sample_sensing(p.m, p.n, trials * p.s, derive_rng(plan.master_seed, ROLE_MATRIX, block + 1))
+    y = measure(x, f, p.sigma2, derive_rng(plan.master_seed, ROLE_NOISE, block + 1))
+    fs = f.matrices.reshape(trials, p.s, p.m, p.n)
+    ys = y.measurements.reshape(trials, p.s, p.m)
+    return support, [(SensingEnsemble(a), MeasurementEnsemble(b)) for a, b in zip(fs, ys)]
+
+
+def _per_trial_counts(plan, block):
+    """The four event counters of one seed block, one public decode per trial."""
+    support, instances = _block_instances(plan, block)
+    counts = np.zeros(4, dtype=np.int64)
+    for f, y in instances:
+        out = decode(y, f, plan.params, true_support=support)
         counts += (out.event_failure, out.decode_error, not out.correct_typical,
                    out.num_incorrect_typical > 0)
     return counts
+
+
+def _walk_trials(monkeypatch, params, t):
+    """Make trials_per_walk(params) give t."""
+    monkeypatch.setattr(decoder, "_WALK_SCORES", t * params.s * math.comb(params.n, params.k))
+    assert trials_per_walk(params) == t
 
 
 class TestBatchedBlock:
@@ -187,23 +216,42 @@ class TestBatchedBlock:
     @pytest.mark.parametrize("k", sorted(POINTS))
     def test_counters_match_a_decode_per_trial(self, monkeypatch, k, signal):
         params = ProblemParams(**self.POINTS[k])
-        plan = TrialPlan(params, trials=64, master_seed=40 + k, **self.SIGNALS[signal])
-        # sub-blocks of 5 trials: 37 trials end in a partial one
-        monkeypatch.setattr(decoder, "_WALK_SCORES", 5 * params.s * math.comb(params.n, k))
-        assert trials_per_walk(params) == 5
-        lo, hi = 3, 40
-        batched = montecarlo._run_block((plan, lo, hi, 10**6))
-        reference = _per_trial_counts(plan, lo, hi)
-        assert batched.tolist() == reference.tolist()
+        plan = TrialPlan(params, trials=256 + 37, master_seed=40 + k, **self.SIGNALS[signal])
+        # sub-blocks of 5 trials: both seed blocks end in a partial one
+        _walk_trials(monkeypatch, params, 5)
+        for block in (0, 1):
+            batched = montecarlo._run_block((plan, block, 10**6))
+            assert batched.tolist() == _per_trial_counts(plan, block).tolist()
         # every event occurs, and not in every trial
-        assert (reference > 0).all() and reference[0] < hi - lo
+        counts = montecarlo._count_events([plan], 1, 10**6)[0]
+        assert (counts > 0).all() and counts[0] < plan.trials
 
     def test_last_block_at_the_default_walk_size(self):
         params = ProblemParams(n=16, k=2, m=5, s=4, sigma2=0.05, xmin2=1.0)
         plan = TrialPlan(params, trials=300, master_seed=8)
         assert 1 < trials_per_walk(params) < 300 - 256
-        batched = montecarlo._run_block((plan, 256, 300, 10**6))
-        assert batched.tolist() == _per_trial_counts(plan, 256, 300).tolist()
+        batched = montecarlo._run_block((plan, 1, 10**6))
+        assert batched.tolist() == _per_trial_counts(plan, 1).tolist()
+
+    @pytest.mark.parametrize("signal", sorted(SIGNALS))
+    def test_counts_do_not_depend_on_the_walk_size(self, monkeypatch, signal):
+        params = ProblemParams(**self.POINTS[2])
+        plan = TrialPlan(params, trials=200, master_seed=12, **self.SIGNALS[signal])
+        default = trials_per_walk(params)
+        assert default not in (1, 5)
+        counts = []
+        for t in (1, 5, default):
+            _walk_trials(monkeypatch, params, t)
+            counts.append(montecarlo._run_block((plan, 0, 10**6)).tolist())
+        assert counts[0] == counts[1] == counts[2]
+        assert 0 < counts[0][0] < 200
+
+    def test_seed_blocks_draw_different_matrices(self):
+        plan = TrialPlan(ProblemParams(**self.POINTS[2]), trials=512, master_seed=3)
+        (_, first), (_, second) = (_block_instances(plan, b) for b in (0, 1))
+        assert first[0][0].matrices.shape == second[0][0].matrices.shape
+        assert not np.array_equal(first[0][0].matrices, second[0][0].matrices)
+        assert not np.array_equal(first[0][1].measurements, second[0][1].measurements)
 
 
 class TestSweep:
@@ -322,6 +370,23 @@ class TestFindMStar:
         for bad in (0.0, -0.3, 1.5):
             with pytest.raises(InvalidRangeError):
                 find_M_star(TrialPlan(p, trials=8, master_seed=5), target=bad)
+
+    def test_one_pool_serves_the_whole_search(self, monkeypatch):
+        pools = []
+
+        class CountingPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        p = ProblemParams(n=10, k=2, m=3, s=8, sigma2=1 / 30, xmin2=1.0, rho=2.0)
+        plan = TrialPlan(p, trials=600, master_seed=9)
+        pooled = find_M_star(plan, target=0.1, jobs=2)
+        assert len(pools) == 1
+        assert pooled.bracket is not None and len(pooled.evaluations) >= 4
+        assert pooled == find_M_star(plan, target=0.1, jobs=1)
+        assert len(pools) == 1
 
     def test_same_seed_shares_randomness_across_probes(self):
         p = ProblemParams(n=8, k=1, m=2, s=4, sigma2=0.01, xmin2=1.0, rho=2.0)
