@@ -219,11 +219,12 @@ class TestBatchedBlock:
         plan = TrialPlan(params, trials=256 + 37, master_seed=40 + k, **self.SIGNALS[signal])
         # sub-blocks of 5 trials: both seed blocks end in a partial one
         _walk_trials(monkeypatch, params, 5)
+        counts = np.zeros(4, dtype=np.int64)
         for block in (0, 1):
             batched = montecarlo._run_block((plan, block, 10**6))
             assert batched.tolist() == _per_trial_counts(plan, block).tolist()
+            counts += batched
         # every event occurs, and not in every trial
-        counts = montecarlo._count_events([plan], 1, 10**6)[0]
         assert (counts > 0).all() and counts[0] < plan.trials
 
     def test_last_block_at_the_default_walk_size(self):
