@@ -31,6 +31,7 @@ from .decoder import DEFAULT_ENUMERATION_CAP, check_enumeration_budget, projecti
 from .ensemble import AMPLITUDE_FIXED, AMPLITUDE_MODES, ProblemParams
 from .errors import ConfigError, EnumerationBudgetError, InvalidRangeError, Jsm2LabError
 from .montecarlo import (
+    _AXIS_KEYS,
     TrialPlan,
     find_M_star,
     sweep,
@@ -95,7 +96,7 @@ def _add_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--values", type=str, default=None)
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--amplitude", type=str, default=None, choices=AMPLITUDE_MODES)
-    sub.add_argument("--fix-signal", type=str, default=None, choices=("true", "false"))
+    sub.add_argument("--fix-signal", type=_parse_bool, default=None)
     sub.add_argument("--config", type=str, default=None)
 
 
@@ -135,7 +136,18 @@ def read_config_file(path: str) -> Dict[str, str]:
     return entries
 
 
+def _parse_bool(value: str) -> bool:
+    """The --fix-signal converter, for the flag and the config-file entry alike."""
+    lowered = value.strip().lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected true/false, yes/no or 1/0, got {value!r}")
+
+
 def _coerce(key: str, value):
+    """A config-file entry converted as its flag is."""
     if value is None or not isinstance(value, str):
         return value
     try:
@@ -143,20 +155,11 @@ def _coerce(key: str, value):
             return int(value)
         if key in _FLOAT_KEYS:
             return float(value)
-    except ValueError as exc:
+        if key == "fix-signal":
+            return _parse_bool(value)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
     return value
-
-
-def _parse_bool(key: str, value: Optional[str], default: bool) -> bool:
-    if value is None:
-        return default
-    lowered = value.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"bad boolean for {key}: {value!r}")
 
 
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
@@ -188,10 +191,14 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     amplitude = pick("amplitude", AMPLITUDE_FIXED)
     if amplitude not in AMPLITUDE_MODES:
         raise ConfigError(f"amplitude must be one of {AMPLITUDE_MODES}, got {amplitude!r}")
-    fix_signal = _parse_bool("fix-signal", pick("fix-signal"), True)
+    fix_signal = pick("fix-signal", True)
     x_max = pick("xmax")
     target = pick("target")
     axis = pick("axis")
+    if axis is not None:
+        axis = str(axis).lower()
+        if axis not in _AXIS_KEYS:
+            raise ConfigError(f"axis must be one of {sorted(_AXIS_KEYS)}, got {axis!r}")
     values_raw = pick("values")
     values: Optional[Tuple[float, ...]] = None
     if values_raw is not None:
@@ -208,7 +215,7 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
 
     if command == "sweep":
         if axis is None:
-            raise ConfigError("sweep requires --axis (one of m, s, snr, n, k)")
+            raise ConfigError(f"sweep requires --axis (one of {sorted(_AXIS_KEYS)})")
         if values is None:
             raise ConfigError("sweep requires --values")
     if command == "find-m" and target is None:
@@ -221,7 +228,7 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
         master_seed=int(seed),
         jobs=int(jobs),
         out=pick("out"),
-        axis=str(axis).lower() if axis is not None else None,
+        axis=axis,
         values=values,
         target=float(target) if target is not None else None,
         amplitude_mode=amplitude,
@@ -239,22 +246,14 @@ def _sigma2_at(xmin2: float, snr: float) -> float:
 
 
 def _build_params(pick, command: str, axis: Optional[str], values) -> ProblemParams:
-    n, k, m, s = pick("n"), pick("k"), pick("m"), pick("s")
-    axis_key = str(axis).lower() if axis is not None else None
-    if command == "sweep" and values:
-        # The swept field may be omitted; seed it from the first grid value.
-        first = values[0]
-        if axis_key == "n" and n is None:
-            n = int(first)
-        elif axis_key == "k" and k is None:
-            k = int(first)
-        elif axis_key == "m" and m is None:
-            m = int(first)
-        elif axis_key == "s" and s is None:
-            s = int(first)
-    if command == "find-m" and m is None and k is not None:
-        m = int(k) + 1
-    missing = [name for name, v in (("--n", n), ("--k", k), ("--m", m), ("--s", s)) if v is None]
+    dims = {key: pick(key) for key in ("n", "k", "m", "s")}
+    if command == "sweep" and values and axis in dims and dims[axis] is None:
+        # The swept dimension may be omitted; seed it from the first grid
+        # value, which ProblemParams checks like any other dimension.
+        dims[axis] = values[0]
+    if command == "find-m" and dims["m"] is None and dims["k"] is not None:
+        dims["m"] = dims["k"] + 1
+    missing = [f"--{key}" for key, v in dims.items() if v is None]
     if missing:
         raise ConfigError(f"{command} requires {', '.join(missing)}")
 
@@ -268,10 +267,7 @@ def _build_params(pick, command: str, axis: Optional[str], values) -> ProblemPar
     rho = pick("rho", DEFAULT_RHO)
     try:
         return ProblemParams(
-            n=int(n),
-            k=int(k),
-            m=int(m),
-            s=int(s),
+            **dims,
             sigma2=float(sigma2),
             xmin2=float(xmin2),
             rho=float(rho),
@@ -329,7 +325,7 @@ def _grid_plans(config: ExperimentConfig) -> List[TrialPlan]:
             if config.axis == "snr":
                 point = replace(params, sigma2=_sigma2_at(params.xmin2, float(value)))
             else:
-                point = replace(params, **{config.axis: int(value)})
+                point = replace(params, **{config.axis: value})
         except Jsm2LabError as exc:
             raise ConfigError(f"grid value {config.axis}={value}: {exc}") from exc
         plans.append(replace(base, params=point))

@@ -8,13 +8,14 @@ measurement vector after projecting out the corresponding sensing columns,
 When J covers the true support that value is pure projected noise with
 expectation S(M-K) sigma2; the typicality test accepts J when the centered
 value lies strictly inside a window of half-width S*M*delta and every block
-F^s_J has full column rank K. The exhaustive decoder enumerates all C(N, K)
-candidates in lexicographic order, records which are typical, and returns
-the typical candidate whose centered value is smallest in magnitude
-(lexicographic tie-break). Failure bookkeeping distinguishes the event that
-the true support is not typical from the event that at least one incorrect
-candidate is typical; their union is the quantity the closed-form bounds
-control.
+F^s_J has full column rank K. The slack delta is params.delta: the default
+of ProblemParams or its delta_override, which that class validates. The
+exhaustive decoder enumerates all C(N, K) candidates in lexicographic
+order, records which are typical, and returns the typical candidate whose
+centered value is smallest in magnitude (lexicographic tie-break). Failure
+bookkeeping distinguishes the event that the true support is not typical
+from the event that at least one incorrect candidate is typical; their
+union is the quantity the closed-form bounds control.
 
 Residuals come from modified Gram-Schmidt (MGS) on the augmented matrix
 [F^s_J y^s], never from a Gram-matrix inverse: each pivot column in turn is
@@ -37,9 +38,12 @@ and hand the (T, candidates) scores to one selection step, vectorised over
 trials: it counts typical candidates, records the true support's verdict
 and keeps each trial's running best by a strict < across chunks and the
 first occurrence of the minimum within one, so ties go to the
-lexicographically smallest support. decode runs it with T = 1,
-decode_trials with the T trials that trials_per_walk allows, and
-typicality_stat reads the scores of its one candidate from the same walk.
+lexicographically smallest support. One step turns its per-trial counts,
+verdicts and best positions into the failure events (TrialEvents), which
+decode_trials returns for the T trials that trials_per_walk allows and
+decode reads row 0 of at T = 1. typicality_stat reads the scores of its
+one candidate from the same walk, and one shape check of the (T, S, M, N)
+and (T, S, M) stacks serves all three.
 """
 
 from __future__ import annotations
@@ -52,12 +56,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .ensemble import MeasurementEnsemble, ProblemParams, SensingEnsemble, SupportSet
-from .errors import (
-    EnumerationBudgetError,
-    InvalidDimensionError,
-    InvalidRangeError,
-    RankDeficientError,
-)
+from .errors import EnumerationBudgetError, InvalidDimensionError, RankDeficientError
 
 # Relative diagonal tolerance declaring a block rank-deficient.
 RANK_TOL = 1e-10
@@ -108,6 +107,20 @@ class TrialEvents:
     @property
     def event_failure(self) -> np.ndarray:
         return ~self.correct_typical | (self.num_incorrect_typical > 0)
+
+    def counts(self) -> np.ndarray:
+        """Trials with each event, in RunResult's order.
+
+        The failure union, a decode error, the true support atypical, and an
+        incorrect support typical.
+        """
+        events = (
+            self.event_failure,
+            self.decode_error,
+            ~self.correct_typical,
+            self.num_incorrect_typical > 0,
+        )
+        return np.array([np.count_nonzero(e) for e in events], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -217,27 +230,21 @@ def projection_residual(f_block: np.ndarray, y: np.ndarray) -> float:
 # ---- Typicality and decoding -------------------------------------------
 
 
-def _check_shapes(y: MeasurementEnsemble, f: SensingEnsemble, params: ProblemParams) -> None:
-    """Require S matrices of shape M x N and S measurement vectors of length M."""
+def _check_stacks(matrices: np.ndarray, measurements: np.ndarray, params: ProblemParams) -> None:
+    """Require T stacked instances: (T, S, M, N) matrices and (T, S, M) measurements."""
     s, m, n = params.s, params.m, params.n
-    if f.matrices.shape != (s, m, n) or y.measurements.shape != (s, m):
+    t = matrices.shape[0]
+    if matrices.shape != (t, s, m, n) or measurements.shape != (t, s, m):
         raise InvalidDimensionError(
-            f"matrices {f.matrices.shape} and measurements {y.measurements.shape} "
+            f"matrices {matrices.shape} and measurements {measurements.shape} "
             f"do not match params (s={s}, m={m}, n={n})"
         )
 
 
-def _window(params: ProblemParams, delta: Optional[float]) -> Tuple[float, float]:
-    """Center S(M-K) sigma2 and half-width S*M*delta of the typicality window.
-
-    delta defaults to params.delta; 0 and +inf are honored, NaN and negatives are not.
-    """
-    if delta is None:
-        delta = params.delta
-    if not delta >= 0:
-        raise InvalidRangeError(f"delta must be >= 0, got {delta}")
+def _window(params: ProblemParams) -> Tuple[float, float]:
+    """Center S(M-K) sigma2 and half-width S*M*delta of the typicality window."""
     s, m = params.s, params.m
-    return s * (m - params.k) * params.sigma2, s * m * delta
+    return s * (m - params.k) * params.sigma2, s * m * params.delta
 
 
 def _typical(rank_ok, abs_centered, threshold):
@@ -250,21 +257,20 @@ def typicality_stat(
     y: MeasurementEnsemble,
     f: SensingEnsemble,
     params: ProblemParams,
-    delta: Optional[float] = None,
 ) -> TypicalityStat:
     """Evaluate the typicality test decode applies to candidate support j.
 
     The value is scored by decode's own core on the K columns of j; the
     centered value subtracts S(M-K) params.sigma2 and the threshold is
-    S*M*delta (params.delta when not overridden). A rank-deficient block
-    marks the stat not typical while the value is still reported.
+    S*M*params.delta. A rank-deficient block marks the stat not typical
+    while the value is still reported.
     """
-    _check_shapes(y, f, params)
+    _check_stacks(f.matrices[None], y.measurements[None], params)
     if j.size != params.k or j.ambient_dim != params.n:
         raise InvalidDimensionError(
             f"candidate {j.indices} (n={j.ambient_dim}) does not match k={params.k}, n={params.n}"
         )
-    center, threshold = _window(params, delta)
+    center, threshold = _window(params)
     columns = f.matrices[None, :, :, j.as_array()]
     _, value, ok = next(_trial_scores(columns, y.measurements[None], j.size))
     value = float(value[0, 0])
@@ -394,20 +400,20 @@ def _select(
     measurements: np.ndarray,
     params: ProblemParams,
     i_true: int,
-    delta: Optional[float],
     enumeration_cap: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The selection step over every candidate of t trials scored in one walk.
 
-    matrices and measurements are stacked as in _trial_scores. Returns per
-    trial the number of typical candidates, whether candidate i_true (its
+    matrices and measurements are stacked as _check_stacks requires. Returns
+    per trial the number of typical candidates, whether candidate i_true (its
     lexicographic position, -1 for none) is typical, and the position of the
     typical candidate with the smallest |centered| value (-1 when none is
     typical). Chunks arrive in lexicographic order, and a strict < across
     chunks with the first occurrence of the minimum within one keeps the
     earliest tie.
     """
-    center, threshold = _window(params, delta)
+    _check_stacks(matrices, measurements, params)
+    center, threshold = _window(params)
     check_enumeration_budget(params, enumeration_cap)
     t = matrices.shape[0]
     num_typical = np.zeros(t, dtype=np.int64)
@@ -464,45 +470,50 @@ def check_enumeration_budget(params: ProblemParams, enumeration_cap: int) -> Non
         )
 
 
+def _events(i_true: int, counts: np.ndarray, verdicts: np.ndarray, best: np.ndarray) -> TrialEvents:
+    """The failure events of _select's per-trial counts, verdicts and best positions."""
+    return TrialEvents(
+        correct_typical=verdicts,
+        num_incorrect_typical=counts - verdicts,
+        decode_error=best != i_true,
+    )
+
+
 def decode(
     y: MeasurementEnsemble,
     f: SensingEnsemble,
     params: ProblemParams,
     true_support: Optional[SupportSet] = None,
-    delta: Optional[float] = None,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> DecodeOutcome:
     """Exhaustive typicality decoding over all C(N, K) candidate supports.
 
     Enumerates candidates lexicographically, applies the typicality test
-    with the given slack (params.delta when not overridden; 0 and +inf
-    overrides are honored), and selects the typical candidate minimizing
-    |centered|, breaking ties toward the lexicographically smallest. With
-    true_support supplied the outcome also carries the failure events.
+    with the slack params.delta, and selects the typical candidate
+    minimizing |centered|, breaking ties toward the lexicographically
+    smallest. With true_support supplied the outcome also carries the
+    failure events, the ones decode_trials reports for a stack of one.
 
     Raises EnumerationBudgetError before any work when C(N, K) exceeds
     enumeration_cap.
     """
-    _check_shapes(y, f, params)
-    n, k = params.n, params.k
+    n = params.n
     i_true = _lex_rank(true_support.indices, n) if true_support is not None else -1
     counts, verdicts, best = _select(
-        f.matrices[None], y.measurements[None], params, i_true, delta, enumeration_cap
+        f.matrices[None], y.measurements[None], params, i_true, enumeration_cap
     )
     decoded = None
     if best[0] >= 0:
-        decoded = SupportSet(_support_at(_prefix_tables(n, k), int(best[0])), n)
-
+        decoded = SupportSet(_support_at(_prefix_tables(n, params.k), int(best[0])), n)
     if true_support is None:
         return DecodeOutcome(decoded)
-    true_typical = bool(verdicts[0])
-    num_incorrect = int(counts[0]) - int(true_typical)
+    events = _events(i_true, counts, verdicts, best)
     return DecodeOutcome(
         decoded=decoded,
-        correct_typical=true_typical,
-        num_incorrect_typical=num_incorrect,
-        event_failure=(not true_typical) or num_incorrect > 0,
-        decode_error=decoded != true_support,
+        correct_typical=bool(events.correct_typical[0]),
+        num_incorrect_typical=int(events.num_incorrect_typical[0]),
+        event_failure=bool(events.event_failure[0]),
+        decode_error=bool(events.decode_error[0]),
     )
 
 
@@ -516,7 +527,6 @@ def decode_trials(
     measurements: np.ndarray,
     params: ProblemParams,
     true_support: SupportSet,
-    delta: Optional[float] = None,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> TrialEvents:
     """Decode a stack of T trials that share one true support, in one walk.
@@ -526,19 +536,5 @@ def decode_trials(
     MeasurementEnsemble(measurements[t]), and its events are the ones decode
     reports for it. trials_per_walk bounds the T worth stacking.
     """
-    s, m, n = params.s, params.m, params.n
-    t = matrices.shape[0]
-    if matrices.shape != (t, s, m, n) or measurements.shape != (t, s, m):
-        raise InvalidDimensionError(
-            f"trial stacks {matrices.shape} and {measurements.shape} "
-            f"do not match params (s={s}, m={m}, n={n})"
-        )
-    i_true = _lex_rank(true_support.indices, n)
-    counts, verdicts, best = _select(
-        matrices, measurements, params, i_true, delta, enumeration_cap
-    )
-    return TrialEvents(
-        correct_typical=verdicts,
-        num_incorrect_typical=counts - verdicts,
-        decode_error=best != i_true,
-    )
+    i_true = _lex_rank(true_support.indices, params.n)
+    return _events(i_true, *_select(matrices, measurements, params, i_true, enumeration_cap))

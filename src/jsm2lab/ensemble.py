@@ -18,7 +18,7 @@ support index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -87,12 +87,12 @@ class SparseEnsemble:
     x_min_sq is the realized min over vectors and support indices of the
     squared entry, which equals the minimum residual energy over all
     incorrect candidate supports (the minimizing candidate misses exactly
-    one index). Pass x_min_sq=None to have it computed.
+    one index).
     """
 
     vectors: np.ndarray
     support: SupportSet
-    x_min_sq: Optional[float] = None
+    x_min_sq: float = field(init=False)
 
     def __post_init__(self):
         v = _readonly(np.atleast_2d(self.vectors), "vectors")
@@ -108,15 +108,8 @@ class SparseEnsemble:
             raise InvalidParameterError("vectors must be exactly zero off the common support")
         if np.any(v[:, on] == 0.0):
             raise InvalidParameterError("vectors must be nonzero on every support index")
-        realized = float(np.min(v[:, on] ** 2))
-        if self.x_min_sq is not None:
-            given = float(self.x_min_sq)
-            if not math.isclose(given, realized, rel_tol=1e-12, abs_tol=1e-300):
-                raise InvalidParameterError(
-                    f"x_min_sq={given} does not match realized minimum {realized}"
-                )
         object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "x_min_sq", realized)
+        object.__setattr__(self, "x_min_sq", float(np.min(v[:, on] ** 2)))
 
     @property
     def num_vectors(self) -> int:

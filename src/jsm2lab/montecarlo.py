@@ -207,7 +207,7 @@ def _signals(plan: TrialPlan, support: SupportSet, trials: int, block: int) -> n
 
 
 def _run_block(args: Tuple[TrialPlan, int, int]) -> np.ndarray:
-    """Tally the four event counters over the trials of one seed block.
+    """Tally the four event counters, in RunResult's order, over one seed block.
 
     The block draws each role from its own stream and scores sub-blocks of
     trials_per_walk trials, a walk each. A sub-block of T trials takes one
@@ -228,19 +228,13 @@ def _run_block(args: Tuple[TrialPlan, int, int]) -> np.ndarray:
         x = SparseEnsemble(signals[first * p.s : (first + t) * p.s], support)
         f = sample_sensing(p.m, p.n, t * p.s, f_rng)
         y = measure(x, f, p.sigma2, n_rng)
-        out = decode_trials(
+        counts += decode_trials(
             f.matrices.reshape(t, p.s, p.m, p.n),
             y.measurements.reshape(t, p.s, p.m),
             p,
             support,
             enumeration_cap=cap,
-        )
-        counts += (
-            np.count_nonzero(out.event_failure),
-            np.count_nonzero(out.decode_error),
-            np.count_nonzero(~out.correct_typical),
-            np.count_nonzero(out.num_incorrect_typical > 0),
-        )
+        ).counts()
     return counts
 
 

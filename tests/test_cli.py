@@ -50,13 +50,18 @@ class TestParseConfig:
     def test_fix_signal_parsing(self, tmp_path):
         base = ["simulate", "--n", "8", "--k", "2", "--m", "4", "--s", "2", "--trials", "8"]
         assert parse_config(base).fix_signal is True
-        assert parse_config(base + ["--fix-signal", "false"]).fix_signal is False
-        # the flag takes the strict true/false pair; file values are looser
+        # the flag and the config-file entry go through one converter
+        f = tmp_path / "fs.cfg"
+        for text, want in [("false", False), ("no", False), ("0", False),
+                           ("true", True), ("yes", True), ("1", True), ("No", False)]:
+            assert parse_config(base + ["--fix-signal", text]).fix_signal is want
+            f.write_text(f"fix_signal = {text}\n")
+            assert parse_config(base + ["--config", str(f)]).fix_signal is want
         with pytest.raises(ConfigError):
             parse_config(base + ["--fix-signal", "maybe"])
-        f = tmp_path / "fs.cfg"
-        f.write_text("fix_signal = no\n")
-        assert parse_config(base + ["--config", str(f)]).fix_signal is False
+        f.write_text("fix_signal = maybe\n")
+        with pytest.raises(ConfigError):
+            parse_config(base + ["--config", str(f)])
 
     def test_config_file_flag_precedence(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -313,6 +318,30 @@ class TestCommands:
         rc = main(
             ["sweep", "--n", "8", "--k", "2", "--s", "1", "--m", "4", "--trials", "10",
              "--axis", "snr", "--values", "10,0"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("axis", ["q", "delta"])
+    def test_sweep_refuses_an_unknown_axis(self, axis, capsys):
+        rc = main(
+            ["sweep", "--n", "8", "--k", "2", "--s", "1", "--m", "4", "--trials", "10",
+             "--axis", axis, "--values", "1,2"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "3.7"])
+    @pytest.mark.parametrize("m_flag", [["--m", "4"], []], ids=["m-given", "m-from-values"])
+    def test_sweep_refuses_a_non_integer_grid_value(self, value, m_flag, capsys):
+        # ProblemParams is the one check of a dimension, given or seeded
+        rc = main(
+            ["sweep", "--n", "8", "--k", "2", "--s", "1", "--trials", "10",
+             "--axis", "m", "--values", value] + m_flag
         )
         assert rc == 2
         captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,17 +113,19 @@ class TestTypicalityStat:
         mats[0][:, 1] = 2.0 * mats[0][:, 0]  # duplicate direction inside J = {0, 1}
         f_bad = SensingEnsemble(mats)
         y_bad = measure(x, f_bad, 1.0, 10)
-        st = typicality_stat(SupportSet((0, 1), 6), y_bad, f_bad, p, delta=math.inf)
+        wide = replace(p, delta_override=math.inf)
+        st = typicality_stat(SupportSet((0, 1), 6), y_bad, f_bad, wide)
         assert not st.rank_ok
         assert not st.typical
 
     def test_delta_must_be_nonnegative(self):
         sup, _, f, y, p = _instance(6, 2, 4, 2, 1.0, 4.0)
+        # the slack is params.delta, so ProblemParams refuses a bad override
         for bad in (math.nan, -0.5):
             with pytest.raises(InvalidRangeError):
-                typicality_stat(sup, y, f, p, delta=bad)
+                replace(p, delta_override=bad)
         # a zero-width window admits nothing, as in decode
-        assert not typicality_stat(sup, y, f, p, delta=0.0).typical
+        assert not typicality_stat(sup, y, f, replace(p, delta_override=0.0)).typical
 
     def test_candidate_must_be_smaller_than_m(self):
         # K < M holds for params, so a size-M candidate cannot match params.k
@@ -167,14 +170,14 @@ class TestDecode:
 
     def test_infinite_delta_makes_everything_typical(self):
         sup, x, f, y, p = _instance(6, 2, 4, 2, 1.0, 4.0)
-        out = decode(y, f, p, true_support=sup, delta=math.inf)
+        out = decode(y, f, replace(p, delta_override=math.inf), true_support=sup)
         assert out.correct_typical
         assert out.num_incorrect_typical == math.comb(6, 2) - 1
         assert out.event_failure  # incorrect supports are typical too
 
     def test_zero_delta_makes_nothing_typical(self):
         sup, x, f, y, p = _instance(6, 2, 4, 2, 1.0, 4.0)
-        out = decode(y, f, p, true_support=sup, delta=0.0)
+        out = decode(y, f, replace(p, delta_override=0.0), true_support=sup)
         assert out.decoded is None
         assert not out.correct_typical
         assert out.num_incorrect_typical == 0
@@ -186,7 +189,7 @@ class TestDecode:
         previous = None
         for d in deltas:
             flags = tuple(
-                typicality_stat(SupportSet(j, 8), y, f, p, delta=d).typical
+                typicality_stat(SupportSet(j, 8), y, f, replace(p, delta_override=d)).typical
                 for j in itertools.combinations(range(8), 2)
             )
             if previous is not None:
@@ -218,10 +221,11 @@ class TestDecode:
 
     def test_nan_delta_rejected(self):
         # NaN fails every comparison, so it must not reach the typicality test
-        # and be tallied as "nothing typical"
+        # and be tallied as "nothing typical"; the slack is params.delta, so
+        # ProblemParams is where it stops
         sup, x, f, y, p = _instance(6, 2, 4, 2, 1.0, 4.0)
         with pytest.raises(InvalidRangeError):
-            decode(y, f, p, true_support=sup, delta=math.nan)
+            replace(p, delta_override=math.nan)
 
     def test_without_true_support_flags_are_none(self):
         sup, x, f, y, p = _instance(6, 2, 4, 2, 1.0, 4.0)

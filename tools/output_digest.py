@@ -1,0 +1,118 @@
+"""Print sha256 digests of the jsm2lab command outputs whose bytes a refactor must keep.
+
+    python3 tools/output_digest.py CHECKOUT > digests.txt
+
+Runs a fixed set of `jsm2lab` commands against CHECKOUT/src, each in its
+own temporary directory, and prints one line per stdout and per --out
+file: the sha256, the exit code for a stdout, and a label. Before a sweep
+sidecar is hashed its time fields (created_unix, wall_time_s) are dropped.
+Two checkouts whose output bytes agree print identical lines, so
+
+    diff <(python3 tools/output_digest.py PARENT) <(python3 tools/output_digest.py CHANGE)
+
+is empty. The set covers the Monte Carlo commands (a sweep over M with a
+worker pool, four simulate points, one with redrawn uniform amplitudes,
+and find-m with one and two workers), bounds and verify.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import List, Optional, Tuple
+
+_SIDECAR_TIME_FIELDS = ("created_unix", "wall_time_s")
+
+# (label, arguments, file written through --out or None)
+RUNS: Tuple[Tuple[str, List[str], Optional[str]], ...] = (
+    (
+        "sweep-m",
+        "sweep --n 16 --k 2 --s 2 --snr 10 --trials 1000 --axis m --values 3,4,5,6,7,8,9,10,11"
+        " --seed 7 --jobs 2".split(),
+        "sweep.csv",
+    ),
+    (
+        "simulate-n20k3m8s3",
+        "simulate --n 20 --k 3 --m 8 --s 3 --snr 10 --trials 1000 --seed 7 --jobs 2".split(),
+        "simulate.csv",
+    ),
+    (
+        "simulate-n12k4m6s2",
+        "simulate --n 12 --k 4 --m 6 --s 2 --snr 10 --trials 600 --seed 7".split(),
+        "simulate.csv",
+    ),
+    (
+        "simulate-n24k4m5s2",
+        "simulate --n 24 --k 4 --m 5 --s 2 --snr 10 --trials 300 --seed 7".split(),
+        "simulate.csv",
+    ),
+    (
+        "simulate-uniform-redrawn",
+        "simulate --n 12 --k 2 --m 6 --s 2 --snr 10 --trials 600 --seed 7"
+        " --amplitude uniform --xmax 2 --fix-signal false".split(),
+        "simulate.csv",
+    ),
+    (
+        "find-m-jobs1",
+        "find-m --n 16 --k 2 --s 4 --snr 100 --trials 1000 --target 0.1 --seed 7 --jobs 1".split(),
+        None,
+    ),
+    (
+        "find-m-jobs2",
+        "find-m --n 16 --k 2 --s 4 --snr 100 --trials 1000 --target 0.1 --seed 7 --jobs 2".split(),
+        None,
+    ),
+    ("bounds", "bounds --n 64 --k 4 --s 2 --snr 1 --m 5".split(), None),
+    ("verify", "verify --seed 7 --trials 20000".split(), None),
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _file_digest(path: Path) -> str:
+    """The sha256 of a written file; a sidecar loses its time fields first."""
+    data = path.read_bytes()
+    if path.name.endswith(".meta.json"):
+        meta = json.loads(data)
+        for key in _SIDECAR_TIME_FIELDS:
+            meta.pop(key, None)
+        data = json.dumps(meta, indent=2, sort_keys=True).encode()
+    return _sha(data)
+
+
+def digests(checkout: Path) -> List[str]:
+    """One "sha256  label" line per stdout and per written file of every run."""
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    lines = []
+    for label, args, out in RUNS:
+        with tempfile.TemporaryDirectory(prefix="jsm2lab-digest-") as tmp:
+            argv = [sys.executable, "-m", "jsm2lab.cli", *args]
+            if out is not None:
+                argv += ["--out", out]  # relative, so stdout does not name the temp directory
+            proc = subprocess.run(argv, cwd=tmp, env=env, capture_output=True)
+            lines.append(f"{_sha(proc.stdout)}  {label} stdout exit={proc.returncode}")
+            for path in sorted(Path(tmp).iterdir()):
+                lines.append(f"{_file_digest(path)}  {label} {path.name}")
+    return lines
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("checkout", type=Path, help="source checkout holding src/jsm2lab")
+    args = parser.parse_args(argv)
+    if not (args.checkout / "src" / "jsm2lab").is_dir():
+        parser.error(f"{args.checkout} has no src/jsm2lab")
+    print("\n".join(digests(args.checkout)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
