@@ -241,6 +241,14 @@ def _check_stacks(matrices: np.ndarray, measurements: np.ndarray, params: Proble
         )
 
 
+def _check_support(j: SupportSet, params: ProblemParams) -> None:
+    """Require a size-K support of range(N): a candidate, or a true support to score."""
+    if j.size != params.k or j.ambient_dim != params.n:
+        raise InvalidDimensionError(
+            f"support {j.indices} (n={j.ambient_dim}) does not match k={params.k}, n={params.n}"
+        )
+
+
 def _window(params: ProblemParams) -> Tuple[float, float]:
     """Center S(M-K) sigma2 and half-width S*M*delta of the typicality window."""
     s, m = params.s, params.m
@@ -266,10 +274,7 @@ def typicality_stat(
     while the value is still reported.
     """
     _check_stacks(f.matrices[None], y.measurements[None], params)
-    if j.size != params.k or j.ambient_dim != params.n:
-        raise InvalidDimensionError(
-            f"candidate {j.indices} (n={j.ambient_dim}) does not match k={params.k}, n={params.n}"
-        )
+    _check_support(j, params)
     center, threshold = _window(params)
     columns = f.matrices[None, :, :, j.as_array()]
     _, value, ok = next(_trial_scores(columns, y.measurements[None], j.size))
@@ -498,7 +503,10 @@ def decode(
     enumeration_cap.
     """
     n = params.n
-    i_true = _lex_rank(true_support.indices, n) if true_support is not None else -1
+    i_true = -1
+    if true_support is not None:
+        _check_support(true_support, params)
+        i_true = _lex_rank(true_support.indices, n)
     counts, verdicts, best = _select(
         f.matrices[None], y.measurements[None], params, i_true, enumeration_cap
     )
@@ -536,5 +544,6 @@ def decode_trials(
     MeasurementEnsemble(measurements[t]), and its events are the ones decode
     reports for it. trials_per_walk bounds the T worth stacking.
     """
+    _check_support(true_support, params)
     i_true = _lex_rank(true_support.indices, params.n)
     return _events(i_true, *_select(matrices, measurements, params, i_true, enumeration_cap))

@@ -245,6 +245,17 @@ class TestDecode:
         with pytest.raises(InvalidDimensionError):
             decode(y, f, other)
 
+    @pytest.mark.parametrize("bad", [((0, 1, 2), 6), ((0, 1), 9)], ids=["size", "ambient"])
+    def test_true_support_must_match_params(self, bad):
+        # a mismatched support would be scored at some other candidate's
+        # position and tallied as a failure
+        _, x, f, y, p = _instance(6, 2, 4, 2, 1.0, 4.0)
+        wrong = SupportSet(*bad)
+        with pytest.raises(InvalidDimensionError):
+            decode(y, f, p, true_support=wrong)
+        with pytest.raises(InvalidDimensionError):
+            decode_trials(f.matrices[None], y.measurements[None], p, wrong)
+
     def test_event_failure_definition_holds(self):
         # union bookkeeping: failure iff correct missed or any incorrect hit
         for seed in range(8):
