@@ -17,7 +17,7 @@ import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,9 +57,6 @@ DEFAULT_RHO = 2.0
 DEFAULT_XMIN2 = 1.0
 DEFAULT_SIGMA2 = 1.0
 
-_COMMANDS = ("bounds", "simulate", "sweep", "find-m", "verify")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved invocation: command, problem, and run knobs."""
@@ -81,33 +78,72 @@ class ExperimentConfig:
 
 # ---- Flag and config-file parsing ----------------------------------------
 
-_INT_KEYS = {"n", "k", "m", "s", "trials", "seed", "jobs", "cap"}
-_FLOAT_KEYS = {"snr", "sigma2", "xmin2", "rho", "delta", "target", "xmax"}
-_STR_KEYS = {"axis", "values", "out", "amplitude", "fix-signal"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are ConfigError, one message and no usage text."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
 
 
-def _add_flags(sub: argparse.ArgumentParser) -> None:
-    for key in sorted(_INT_KEYS):
-        sub.add_argument(f"--{key}", type=int, default=None)
-    for key in sorted(_FLOAT_KEYS):
-        sub.add_argument(f"--{key}", type=float, default=None)
-    sub.add_argument("--axis", type=str, default=None)
-    sub.add_argument("--values", type=str, default=None)
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--amplitude", type=str, default=None, choices=AMPLITUDE_MODES)
-    sub.add_argument("--fix-signal", type=_parse_bool, default=None)
-    sub.add_argument("--config", type=str, default=None)
+def _parse_bool(value: str) -> bool:
+    """The --fix-signal converter."""
+    lowered = value.strip().lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected true/false, yes/no or 1/0, got {value!r}")
+
+
+def _parse_values(value: str) -> Tuple[float, ...]:
+    """The --values converter: a non-empty comma-separated list of numbers."""
+    try:
+        values = tuple(float(v) for v in value.split(",") if v.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {value!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one number")
+    return values
+
+
+# Every flag with its argparse keywords. A config file may set exactly these
+# keys, and its entries go through the same subparser as the flags.
+_FLAGS: Dict[str, dict] = {
+    "n": dict(type=int),
+    "k": dict(type=int),
+    "m": dict(type=int),
+    "s": dict(type=int),
+    "trials": dict(type=int, default=DEFAULT_TRIALS),
+    "seed": dict(type=int, default=DEFAULT_SEED),
+    "jobs": dict(type=int, default=1),
+    "cap": dict(type=int, default=DEFAULT_ENUMERATION_CAP),
+    "snr": dict(type=float),
+    "sigma2": dict(type=float),
+    "xmin2": dict(type=float, default=DEFAULT_XMIN2),
+    "rho": dict(type=float, default=DEFAULT_RHO),
+    "delta": dict(type=float),
+    "target": dict(type=float),
+    "xmax": dict(type=float),
+    "axis": dict(type=str.lower, choices=sorted(_AXIS_KEYS)),
+    "values": dict(type=_parse_values),
+    "out": dict(),
+    "amplitude": dict(choices=AMPLITUDE_MODES, default=AMPLITUDE_FIXED),
+    "fix-signal": dict(type=_parse_bool, default=True),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jsm2lab",
         description="Support-set recovery experiments for jointly sparse ensembles.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        _add_flags(subs.add_parser(name))
+    for name in _COMMAND_HANDLERS:
+        sub = subs.add_parser(name)
+        for key, kwargs in _FLAGS.items():
+            sub.add_argument(f"--{key}", **kwargs)
+        sub.add_argument("--config")
     return parser
 
 
@@ -130,111 +166,49 @@ def read_config_file(path: str) -> Dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("_", "-") if key == "fix_signal" else key
-        if key not in _ALL_KEYS:
+        if key not in _FLAGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         entries[key] = value
     return entries
 
 
-def _parse_bool(value: str) -> bool:
-    """The --fix-signal converter, for the flag and the config-file entry alike."""
-    lowered = value.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected true/false, yes/no or 1/0, got {value!r}")
-
-
-def _coerce(key: str, value):
-    """A config-file entry converted as its flag is."""
-    if value is None or not isinstance(value, str):
-        return value
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key == "fix-signal":
-            return _parse_bool(value)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    return value
-
-
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     """Turn argv (plus any --config file) into a validated ExperimentConfig."""
     parser = _build_parser()
-    try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        if exc.code == 0:
-            raise
-        raise ConfigError("invalid command line (see message above)") from exc
-
-    file_map: Dict[str, str] = {}
+    argv = list(argv)
+    args = parser.parse_args(argv)
     if args.config:
-        file_map = read_config_file(args.config)
-
-    def pick(key: str, default=None):
-        """The flag, else the config-file entry, else default; only None counts as absent."""
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is None:
-            value = _coerce(key, file_map.get(key))
-        return default if value is None else value
+        # File entries go right after the subcommand, so that a flag given
+        # after them wins; the --key=value form keeps values such as -1 whole.
+        at = argv.index(args.command) + 1
+        entries = [f"--{key}={value}" for key, value in read_config_file(args.config).items()]
+        args = parser.parse_args(argv[:at] + entries + argv[at:])
 
     command = args.command
-    trials = pick("trials", DEFAULT_TRIALS)
-    seed = pick("seed", DEFAULT_SEED)
-    jobs = pick("jobs", 1)
-    cap = pick("cap", DEFAULT_ENUMERATION_CAP)
-    amplitude = pick("amplitude", AMPLITUDE_FIXED)
-    if amplitude not in AMPLITUDE_MODES:
-        raise ConfigError(f"amplitude must be one of {AMPLITUDE_MODES}, got {amplitude!r}")
-    fix_signal = pick("fix-signal", True)
-    x_max = pick("xmax")
-    target = pick("target")
-    axis = pick("axis")
-    if axis is not None:
-        axis = str(axis).lower()
-        if axis not in _AXIS_KEYS:
-            raise ConfigError(f"axis must be one of {sorted(_AXIS_KEYS)}, got {axis!r}")
-    values_raw = pick("values")
-    values: Optional[Tuple[float, ...]] = None
-    if values_raw is not None:
-        try:
-            values = tuple(float(v) for v in str(values_raw).split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad --values list: {values_raw!r}") from exc
-        if not values:
-            raise ConfigError("--values must list at least one number")
-
-    params = None
-    if command != "verify":
-        params = _build_params(pick, command, axis, values)
+    params = None if command == "verify" else _build_params(args)
 
     if command == "sweep":
-        if axis is None:
+        if args.axis is None:
             raise ConfigError(f"sweep requires --axis (one of {sorted(_AXIS_KEYS)})")
-        if values is None:
+        if args.values is None:
             raise ConfigError("sweep requires --values")
-    if command == "find-m" and target is None:
+    if command == "find-m" and args.target is None:
         raise ConfigError("find-m requires --target")
 
     return ExperimentConfig(
         command=command,
         params=params,
-        trials=int(trials),
-        master_seed=int(seed),
-        jobs=int(jobs),
-        out=pick("out"),
-        axis=axis,
-        values=values,
-        target=float(target) if target is not None else None,
-        amplitude_mode=amplitude,
-        fix_signal=fix_signal,
-        x_max=float(x_max) if x_max is not None else None,
-        enumeration_cap=int(cap),
+        trials=args.trials,
+        master_seed=args.seed,
+        jobs=args.jobs,
+        out=args.out,
+        axis=args.axis,
+        values=args.values,
+        target=args.target,
+        amplitude_mode=args.amplitude,
+        fix_signal=args.fix_signal,
+        x_max=args.xmax,
+        enumeration_cap=args.cap,
     )
 
 
@@ -245,33 +219,31 @@ def _sigma2_at(xmin2: float, snr: float) -> float:
     return xmin2 / snr
 
 
-def _build_params(pick, command: str, axis: Optional[str], values) -> ProblemParams:
-    dims = {key: pick(key) for key in ("n", "k", "m", "s")}
-    if command == "sweep" and values and axis in dims and dims[axis] is None:
+def _build_params(args: argparse.Namespace) -> ProblemParams:
+    command = args.command
+    dims = {key: getattr(args, key) for key in ("n", "k", "m", "s")}
+    if command == "sweep" and args.values and args.axis in dims and dims[args.axis] is None:
         # The swept dimension may be omitted; seed it from the first grid
         # value, which ProblemParams checks like any other dimension.
-        dims[axis] = values[0]
+        dims[args.axis] = args.values[0]
     if command == "find-m" and dims["m"] is None and dims["k"] is not None:
         dims["m"] = dims["k"] + 1
     missing = [f"--{key}" for key, v in dims.items() if v is None]
     if missing:
         raise ConfigError(f"{command} requires {', '.join(missing)}")
 
-    snr = pick("snr")
-    sigma2 = pick("sigma2")
-    xmin2 = pick("xmin2", DEFAULT_XMIN2)
-    if snr is not None and sigma2 is not None:
+    if args.snr is not None and args.sigma2 is not None:
         raise ConfigError("give either --snr or --sigma2, not both")
+    sigma2 = args.sigma2
     if sigma2 is None:
-        sigma2 = _sigma2_at(xmin2, snr) if snr is not None else DEFAULT_SIGMA2
-    rho = pick("rho", DEFAULT_RHO)
+        sigma2 = _sigma2_at(args.xmin2, args.snr) if args.snr is not None else DEFAULT_SIGMA2
     try:
         return ProblemParams(
             **dims,
-            sigma2=float(sigma2),
-            xmin2=float(xmin2),
-            rho=float(rho),
-            delta_override=pick("delta"),
+            sigma2=sigma2,
+            xmin2=args.xmin2,
+            rho=args.rho,
+            delta_override=args.delta,
         )
     except Jsm2LabError as exc:
         raise ConfigError(str(exc)) from exc
@@ -282,11 +254,9 @@ def _build_params(pick, command: str, axis: Optional[str], values) -> ProblemPar
 
 def _emit(text: str, out: Optional[str]) -> None:
     sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
     if out:
-        with open(out, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+        with open(out, "w", newline="") as handle:
+            handle.write(text)
 
 
 def _cmd_bounds(config: ExperimentConfig) -> int:
@@ -346,11 +316,8 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
     start = time.monotonic()
     rows = sweep([plan], axis="m", jobs=config.jobs, enumeration_cap=config.enumeration_cap)
     wall = time.monotonic() - start
-    text = sweep_csv_lines(rows)
-    sys.stdout.write(text)
+    _emit(sweep_csv_lines(rows), config.out)
     if config.out:
-        with open(config.out, "w", newline="") as handle:
-            handle.write(text)
         _write_sidecar(config.out, rows, wall)
     return 0
 
@@ -406,6 +373,8 @@ def _verify_rows(seed: int, trials: int) -> List[Tuple[str, float, float, float,
     """
     if trials < 1:
         raise InvalidRangeError(f"need trials >= 1, got {trials}")
+    if seed < 0:
+        raise InvalidRangeError(f"need seed >= 0, got {seed}")
     rows: List[Tuple[str, float, float, float, bool]] = []
     n_samples = max(int(trials), 2000)
 
@@ -414,6 +383,14 @@ def _verify_rows(seed: int, trials: int) -> List[Tuple[str, float, float, float,
 
     def add_upper(name, observed, limit, margin):
         rows.append((name, float(observed), float(limit), float(margin), bool(observed <= limit + margin)))
+
+    def add_moments(name, draws, mean_ref, var_ref):
+        # Five-sigma bands; the sample variance's comes from the empirical
+        # fourth moment.
+        add(f"{name}_mean", draws.mean(), mean_ref, 5.0 * math.sqrt(var_ref / n_samples))
+        var = draws.var(ddof=1)
+        var_of_var = np.mean((draws - draws.mean()) ** 4) - var**2
+        add(f"{name}_var", var, var_ref, 5.0 * math.sqrt(max(var_of_var, 1e-12) / n_samples))
 
     # Residuals from the factorized projector match the dense solve.
     rng = derive_rng(seed, ROLE_CHECK, 0)
@@ -433,12 +410,7 @@ def _verify_rows(seed: int, trials: int) -> List[Tuple[str, float, float, float,
     m, k, s = 6, 2, 3
     mean_ref, var_ref = z_I_moments(m, k, s)
     z = sample_z_correct(m, k, s, n_samples, derive_rng(seed, ROLE_CHECK, 1))
-    add("z_correct_mean", z.mean(), mean_ref, 5.0 * math.sqrt(var_ref / n_samples))
-    z_var = z.var(ddof=1)
-    # Band for the sample variance from the empirical fourth moment.
-    centered = z - z.mean()
-    var_of_var = np.mean(centered**4) - z_var**2
-    add("z_correct_var", z_var, var_ref, 5.0 * math.sqrt(max(var_of_var, 1e-12) / n_samples))
+    add_moments("z_correct", z, mean_ref, var_ref)
     dof = s * (m - k)
     mgf_ref = (1.0 - 0.2) ** (-dof / 2)
     spec = QuadFormSpec.from_alpha([1.0] * s, m, k)
@@ -451,11 +423,7 @@ def _verify_rows(seed: int, trials: int) -> List[Tuple[str, float, float, float,
     alphas = (1.0, 3.0)
     mean_ref, var_ref = z_J_moments(alphas, 4, 2)
     zj = sample_z_incorrect(alphas, 4, 2, n_samples, derive_rng(seed, ROLE_CHECK, 3))
-    add("z_incorrect_mean", zj.mean(), mean_ref, 5.0 * math.sqrt(var_ref / n_samples))
-    centered = zj - zj.mean()
-    vj = zj.var(ddof=1)
-    var_of_var = np.mean(centered**4) - vj**2
-    add("z_incorrect_var", vj, var_ref, 5.0 * math.sqrt(max(var_of_var, 1e-12) / n_samples))
+    add_moments("z_incorrect", zj, mean_ref, var_ref)
 
     # Exponential tail inequalities at a homogeneous weight vector.
     check = laurent_massart_check([1.0] * 6, 1.0, n_samples, derive_rng(seed, ROLE_CHECK, 4))
@@ -503,16 +471,18 @@ def _cmd_verify(config: ExperimentConfig) -> int:
     return 0 if all(row[4] for row in rows) else 3
 
 
+_COMMAND_HANDLERS = {
+    "bounds": _cmd_bounds,
+    "simulate": _cmd_simulate,
+    "sweep": _cmd_sweep,
+    "find-m": _cmd_find_m,
+    "verify": _cmd_verify,
+}
+
+
 def run(config: ExperimentConfig) -> int:
     """Dispatch a parsed config; returns the process exit code."""
-    handlers = {
-        "bounds": _cmd_bounds,
-        "simulate": _cmd_simulate,
-        "sweep": _cmd_sweep,
-        "find-m": _cmd_find_m,
-        "verify": _cmd_verify,
-    }
-    return handlers[config.command](config)
+    return _COMMAND_HANDLERS[config.command](config)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

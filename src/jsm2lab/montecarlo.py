@@ -140,6 +140,8 @@ class TrialPlan:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidRangeError(f"need trials >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise InvalidRangeError(f"need master_seed >= 0, got {self.master_seed}")
         if self.amplitude_mode not in AMPLITUDE_MODES:
             raise InvalidParameterError(
                 f"amplitude_mode must be one of {AMPLITUDE_MODES}, got {self.amplitude_mode!r}"

@@ -79,13 +79,21 @@ class TestParseConfig:
         assert cfg.trials == 32
 
     def test_sweep_values_fill_swept_field(self):
-        cfg = parse_config(
-            ["sweep", "--n", "8", "--k", "2", "--s", "2", "--trials", "8",
-             "--axis", "m", "--values", "3,5,7"]
-        )
-        assert cfg.axis == "m"
-        assert tuple(cfg.values) == (3.0, 5.0, 7.0)
-        assert cfg.params.m == 3
+        for axis in ("m", "M"):  # the axis name is case-insensitive
+            cfg = parse_config(
+                ["sweep", "--n", "8", "--k", "2", "--s", "2", "--trials", "8",
+                 "--axis", axis, "--values", "3,5,7"]
+            )
+            assert cfg.axis == "m"
+            assert tuple(cfg.values) == (3.0, 5.0, 7.0)
+            assert cfg.params.m == 3
+
+    def test_file_value_may_start_with_a_minus(self, tmp_path):
+        # the entry reaches ProblemParams' own check, not the parser's
+        f = tmp_path / "neg.cfg"
+        f.write_text("delta = -1\n")
+        with pytest.raises(ConfigError, match="delta override must be >= 0"):
+            parse_config(["bounds", "--n", "8", "--k", "2", "--m", "4", "--s", "1", "--config", str(f)])
 
     def test_find_m_defaults_m_to_minimum(self):
         cfg = parse_config(
@@ -115,9 +123,11 @@ class TestReadConfigFile:
 
     def test_unknown_key(self, tmp_path):
         f = tmp_path / "c.cfg"
-        f.write_text("banana = 3\n")
-        with pytest.raises(ConfigError, match="unknown key"):
-            read_config_file(str(f))
+        # --config is a flag only; a file does not name another file
+        for text in ("banana = 3\n", "n = 8\nconfig = other.cfg\n"):
+            f.write_text(text)
+            with pytest.raises(ConfigError, match="unknown key"):
+                read_config_file(str(f))
 
     def test_bad_line(self, tmp_path):
         f = tmp_path / "d.cfg"
@@ -294,17 +304,30 @@ class TestCommands:
             (["--cap", "0"], 4),
             (["--jobs", "-1"], 2),
             (["--rho", "inf"], 2),
+            (["--seed", "-3"], 2),
+            # one value each that a flag's type, choices or converter refuses
+            (["--n", "6.5"], 2),
+            (["--snr", "ten"], 2),
+            (["--amplitude", "gaussian"], 2),
+            (["--axis", "q"], 2),
+            (["--values", "1,x"], 2),
+            (["--fix-signal", "maybe"], 2),
         ],
     )
-    def test_simulate_refuses_bad_run_values(self, flags, code, capsys):
-        rc = main(
-            ["simulate", "--n", "6", "--k", "2", "--m", "4", "--s", "1", "--trials", "10"]
-            + flags
-        )
-        assert rc == code
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    def test_simulate_refuses_bad_run_values(self, flags, code, tmp_path, capsys):
+        # refused alike as a flag and as a config-file entry
+        entries = [("n", "6"), ("k", "2"), ("m", "4"), ("s", "1"), ("trials", "10")]
+        entries += [(flag[2:], value) for flag, value in zip(flags[::2], flags[1::2])]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries))
+        for argv in (
+            ["simulate"] + [token for key, value in entries for token in (f"--{key}", value)],
+            ["simulate", "--config", str(cfg)],
+        ):
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("snr", ["0", "-1", "inf", "nan"])
     def test_bounds_refuses_a_non_positive_or_non_finite_snr(self, snr, capsys):
@@ -355,6 +378,15 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_verify_refuses_a_negative_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("seed = -3\n")
+        for argv in (["verify", "--seed", "-3"], ["verify", "--config", str(cfg)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_verify_keeps_its_sample_floor_for_one_trial(self, capsys):
         assert main(["verify", "--seed", "7", "--trials", "1"]) == 0

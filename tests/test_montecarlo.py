@@ -90,6 +90,8 @@ class TestTrialPlan:
     def test_validation(self):
         with pytest.raises(InvalidRangeError):
             TrialPlan(params=PARAMS_EASY, trials=0, master_seed=1)
+        with pytest.raises(InvalidRangeError, match="master_seed"):
+            TrialPlan(params=PARAMS_EASY, trials=10, master_seed=-3)
         with pytest.raises(InvalidParameterError):
             TrialPlan(params=PARAMS_EASY, trials=10, master_seed=1, amplitude_mode="gauss")
 

@@ -87,6 +87,12 @@ def main(argv=None) -> int:
         if not sep or not label or not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"expected LABEL=CHECKOUT with perfbench/run.py, got {item!r}")
         sides.append((label, checkout))
+    # Both refusals come before the first run: the files are written only
+    # after every run of the set.
+    if sides[0][0] == sides[1][0]:
+        parser.error(f"the two labels must differ, got {sides[0][0]!r} twice")
+    if not Path(args.out_dir).is_dir():
+        parser.error(f"--out-dir {args.out_dir!r} is not a directory")
 
     spec = json.loads((sides[0][1] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
