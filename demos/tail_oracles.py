@@ -12,8 +12,6 @@ from jsm2lab.quadstats import (
     sample_quadform,
     sample_z_correct,
     sample_z_incorrect,
-    z_I_moments,
-    z_J_moments,
 )
 
 TRIALS = 50_000
@@ -23,14 +21,16 @@ SEED = 9090
 def moments():
     m, k, s = 6, 2, 3
     draws = sample_z_correct(m, k, s, trials=TRIALS, seed=SEED)
-    mean, var = z_I_moments(m, k, s)
+    spec = QuadFormSpec.from_alpha([1.0] * s, m, k)
+    mean, var = spec.mean, spec.variance
     print(f"correct-support statistic, M={m} K={k} S={s}:")
     print(f"  mean {np.mean(draws):.4f} (predicted {mean})")
     print(f"  var  {np.var(draws):.4f} (predicted {var})")
 
     alphas = [2.0, 1.0, 0.5]
     draws = sample_z_incorrect(alphas, m, k, trials=TRIALS, seed=SEED + 1)
-    mean, var = z_J_moments(alphas, m, k)
+    spec = QuadFormSpec.from_alpha(alphas, m, k)
+    mean, var = spec.mean, spec.variance
     print(f"incorrect-support statistic, energies {alphas}:")
     print(f"  mean {np.mean(draws):.4f} (predicted {mean})")
     print(f"  var  {np.var(draws):.4f} (predicted {var})")

@@ -165,8 +165,9 @@ class SufficiencyReport:
 
     The cor2 fields are populated only when the chosen split constant
     alpha is backed by enough SNR (snr_threshold_cor2 records the needed
-    level); otherwise they are NaN. S_cor3 is evaluated at the minimal
-    M = K + 1 regardless of the M carried by params.
+    level); otherwise they are NaN. S_cor3 is Corollary 3's vector count for
+    failure probability 0.01, evaluated at the minimal M = K + 1 regardless
+    of the M carried by params.
     """
 
     params: ProblemParams
@@ -394,11 +395,8 @@ def corollary3_S_bound(params: ProblemParams, epsilon: float) -> float:
     n, k, m = params.n, params.k, params.m
     if m != k + 1:
         raise InvalidParameterError(f"vector-count bound requires M = K+1, got M={m}, K={k}")
-    delta = params.xmin2 / (params.rho * (k + 1))
-    d1 = m * delta / ((m - k) * params.sigma2)
-    t = t_value(params)
-    log_mu_i = 0.5 * (math.log1p(d1) - d1)
-    log_mu_j = 0.5 * (math.log1p(-t) + t)
+    canonical = replace(params, delta_override=params.xmin2 / (params.rho * (k + 1)))
+    log_mu_i, log_mu_j = log_mu_factors(canonical)
     log_c2 = float(np.logaddexp(log_binom(n, k), _LOG2))
     return (log_c2 - math.log(epsilon)) * max(1.0 / abs(log_mu_i), 1.0 / abs(log_mu_j))
 
@@ -421,17 +419,14 @@ def corollary3_S_bound_high_snr(params: ProblemParams, epsilon: float) -> float:
 # ---- Converse ------------------------------------------------------------
 
 
-def necessary_m_value(n: int, k: int, s: int, snr_min: float) -> float:
-    """Measurement count below which no decoder is reliable (raw scalars).
+def necessary_M(params: ProblemParams) -> float:
+    """Measurement count below which every decoder has failure bounded away from 0.
 
     Returns (2 K log(N/K) - 2 log 2) / (S log(1 + K SNR_min)). When the
     numerator is nonpositive (N/K too small) the bound is vacuous: a
     RuntimeWarning is emitted and 0 is returned.
     """
-    if not k * snr_min > 0:
-        raise DomainError(f"need K * SNR_min > 0, got K={k}, SNR_min={snr_min}")
-    if not n >= k >= 1:
-        raise InvalidRangeError(f"need N >= K >= 1, got N={n}, K={k}")
+    n, k, s = params.n, params.k, params.s
     numerator = 2.0 * k * math.log(n / k) - 2.0 * _LOG2
     if numerator <= 0.0:
         warnings.warn(
@@ -441,34 +436,19 @@ def necessary_m_value(n: int, k: int, s: int, snr_min: float) -> float:
             stacklevel=2,
         )
         return 0.0
-    return numerator / (s * math.log1p(k * snr_min))
+    return numerator / (s * math.log1p(k * params.snr_min))
 
 
-def necessary_M(params: ProblemParams) -> float:
-    """Measurement count below which every decoder has failure bounded away from 0."""
-    return necessary_m_value(params.n, params.k, params.s, params.snr_min)
-
-
-def fano_lower_value(n: int, k: int, m: int, s: int, snr_min: float) -> float:
-    """Worst-case failure floor for any decoder (raw scalars).
+def fano_lower_perr(params: ProblemParams) -> float:
+    """Worst-case decoding-error floor at the given parameter point.
 
     Returns max(0, 1 - (S M log(1 + K SNR_min)/2 + log 2) / (K log(N/K))).
     The floor applies to the minimal-amplitude signal class, uniformly over
     decoders.
     """
-    if not n > k >= 1:
-        raise InvalidRangeError(f"need N > K >= 1, got N={n}, K={k}")
-    if not snr_min > 0:
-        raise DomainError(f"SNR_min must be > 0, got {snr_min}")
-    if m < 0 or s < 1:
-        raise InvalidRangeError(f"need M >= 0 and S >= 1, got M={m}, S={s}")
-    numerator = 0.5 * s * m * math.log1p(k * snr_min) + _LOG2
+    n, k, m, s = params.n, params.k, params.m, params.s
+    numerator = 0.5 * s * m * math.log1p(k * params.snr_min) + _LOG2
     return max(0.0, 1.0 - numerator / (k * math.log(n / k)))
-
-
-def fano_lower_perr(params: ProblemParams) -> float:
-    """Worst-case decoding-error floor at the given parameter point."""
-    return fano_lower_value(params.n, params.k, params.m, params.s, params.snr_min)
 
 
 # ---- Order-level comparison ----------------------------------------------
@@ -509,7 +489,6 @@ def mmv_order_comparison(params: ProblemParams) -> MmvOrderReport:
 def sufficiency_report(
     params: ProblemParams,
     alpha: Optional[float] = None,
-    epsilon: float = 0.01,
 ) -> SufficiencyReport:
     """Evaluate every sufficiency and necessity condition at one point.
 
@@ -529,7 +508,6 @@ def sufficiency_report(
     else:
         cor2_lin = math.nan
         cor2_sub = math.nan
-    cor3_params = replace(params, m=params.k + 1, delta_override=None)
     return SufficiencyReport(
         params=params,
         nu1=nu1,
@@ -541,6 +519,6 @@ def sufficiency_report(
         M_suff_cor2_linear=cor2_lin,
         M_suff_cor2_sublinear=cor2_sub,
         snr_threshold_cor2=threshold,
-        S_cor3=corollary3_S_bound(cor3_params, epsilon),
+        S_cor3=corollary3_S_bound(replace(params, m=params.k + 1), 0.01),
         M_necessary=necessary_M(params),
     )

@@ -46,8 +46,6 @@ from .quadstats import (
     sample_quadform,
     sample_z_correct,
     sample_z_incorrect,
-    z_I_moments,
-    z_J_moments,
 )
 from .seeding import ROLE_CHECK, derive_rng
 
@@ -133,6 +131,12 @@ _FLAGS: Dict[str, dict] = {
 }
 
 
+def _add_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    for key, kwargs in _FLAGS.items():
+        parser.add_argument(f"--{key}", **kwargs)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="jsm2lab",
@@ -140,18 +144,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name in _COMMAND_HANDLERS:
-        sub = subs.add_parser(name)
-        for key, kwargs in _FLAGS.items():
-            sub.add_argument(f"--{key}", **kwargs)
-        sub.add_argument("--config")
+        _add_flags(subs.add_parser(name)).add_argument("--config")
     return parser
 
 
 def read_config_file(path: str) -> Dict[str, str]:
     """Parse a flat key=value document mirroring the flag names.
 
-    Blank lines and '#' comments are ignored; keys may use '-' or '_'.
+    Blank lines and '#' comments are ignored; keys may use '-' or '_'. Each
+    value goes through its flag's type and choices here, so that an unknown
+    key and a refused value are both reported with their path:line.
     """
+    values = _add_flags(_Parser(prog="jsm2lab"))
     entries: Dict[str, str] = {}
     try:
         with open(path) as handle:
@@ -168,6 +172,10 @@ def read_config_file(path: str) -> Dict[str, str]:
         key = key.replace("_", "-") if key == "fix_signal" else key
         if key not in _FLAGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values.parse_args([f"--{key}={value}"])
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
         entries[key] = value
     return entries
 
@@ -408,12 +416,11 @@ def _verify_rows(seed: int, trials: int) -> List[Tuple[str, float, float, float,
 
     # Correct-support statistic: chi-square moments and MGF.
     m, k, s = 6, 2, 3
-    mean_ref, var_ref = z_I_moments(m, k, s)
+    spec = QuadFormSpec.from_alpha([1.0] * s, m, k)
     z = sample_z_correct(m, k, s, n_samples, derive_rng(seed, ROLE_CHECK, 1))
-    add_moments("z_correct", z, mean_ref, var_ref)
+    add_moments("z_correct", z, spec.mean, spec.variance)
     dof = s * (m - k)
     mgf_ref = (1.0 - 0.2) ** (-dof / 2)
-    spec = QuadFormSpec.from_alpha([1.0] * s, m, k)
     add("mgf_closed_form", quadform_mgf(spec, 0.1), mgf_ref, 1e-12)
     q = sample_quadform(spec, n_samples, derive_rng(seed, ROLE_CHECK, 2))
     emp_mgf = float(np.mean(np.exp(0.1 * q)))
@@ -421,9 +428,9 @@ def _verify_rows(seed: int, trials: int) -> List[Tuple[str, float, float, float,
 
     # Incorrect-support statistic moments at heterogeneous energies.
     alphas = (1.0, 3.0)
-    mean_ref, var_ref = z_J_moments(alphas, 4, 2)
     zj = sample_z_incorrect(alphas, 4, 2, n_samples, derive_rng(seed, ROLE_CHECK, 3))
-    add_moments("z_incorrect", zj, mean_ref, var_ref)
+    spec = QuadFormSpec.from_alpha(alphas, 4, 2)
+    add_moments("z_incorrect", zj, spec.mean, spec.variance)
 
     # Exponential tail inequalities at a homogeneous weight vector.
     check = laurent_massart_check([1.0] * 6, 1.0, n_samples, derive_rng(seed, ROLE_CHECK, 4))

@@ -8,17 +8,16 @@ nothing except the support is shared between the S channels.
 
 The central signal quantity is the minimum residual energy: for a candidate
 support J, the energy of x^s outside J is ||x^s restricted to I \\ J||^2, and
-x_min_sq is the minimum of that quantity over all vectors and all incorrect
-candidates. The generators below guarantee every on-support magnitude is at
-least x_min, so x_min_sq = min_{s, i in I} x^s(i)^2 and the global minimum
-over candidate supports is attained at a candidate missing exactly one
-support index.
+its minimum over all vectors and all incorrect candidates is
+min_{s, i in I} x^s(i)^2, attained at a candidate missing exactly one
+support index. The generators below guarantee every on-support magnitude is
+at least x_min, so that minimum is at least x_min^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -82,17 +81,10 @@ class SupportSet:
 
 @dataclass(frozen=True)
 class SparseEnsemble:
-    """S vectors sharing one support; zero off support, nonzero on it.
-
-    x_min_sq is the realized min over vectors and support indices of the
-    squared entry, which equals the minimum residual energy over all
-    incorrect candidate supports (the minimizing candidate misses exactly
-    one index).
-    """
+    """S vectors sharing one support; zero off support, nonzero on it."""
 
     vectors: np.ndarray
     support: SupportSet
-    x_min_sq: float = field(init=False)
 
     def __post_init__(self):
         v = _readonly(np.atleast_2d(self.vectors), "vectors")
@@ -109,7 +101,6 @@ class SparseEnsemble:
         if np.any(v[:, on] == 0.0):
             raise InvalidParameterError("vectors must be nonzero on every support index")
         object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "x_min_sq", float(np.min(v[:, on] ** 2)))
 
     @property
     def num_vectors(self) -> int:
@@ -298,21 +289,3 @@ def measure(
         rng = as_rng(seed)
         clean = clean + math.sqrt(noise_var) * rng.standard_normal(clean.shape)
     return MeasurementEnsemble(clean)
-
-
-def min_residual_energy(x: SparseEnsemble, j: SupportSet) -> float:
-    """Minimum over vectors of the signal energy outside candidate support j.
-
-    For the true support I and a candidate J of the same size this is
-    min_s ||x^s restricted to I \\ J||^2; it is 0 exactly when J = I.
-    """
-    if j.size != x.support.size:
-        raise InvalidDimensionError(
-            f"candidate size {j.size} != support size {x.support.size}"
-        )
-    leftover = np.setdiff1d(x.support.as_array(), j.as_array())
-    if leftover.size == 0:
-        return 0.0
-    energies = np.sum(x.vectors[:, leftover] ** 2, axis=1)
-    return float(np.min(energies))
-

@@ -4,11 +4,14 @@ The summed residual energies are Gaussian quadratic forms y^T R y with a
 block-diagonal, projector-shaped R: under the correct support every block
 contributes the noise floor with multiplicity M-K, under an incorrect
 support each block contributes its centering energy alpha_s (noise floor
-plus missed signal energy) with the same multiplicity. This module carries
-the exact means, variances, and moment generating functions of such forms,
-plus direct samplers and an empirical check of the exponential tail
-inequalities used by the closed-form bounds. The decoder and bound tests
-lean on these as independent references.
+plus missed signal energy) with the same multiplicity. QuadFormSpec
+describes such a form by its eigenvalues and is the one source of its
+exact mean and variance (QuadFormSpec.from_alpha builds the residual-sum
+form from the centering energies); quadform_mgf gives its moment
+generating function. Direct samplers and an empirical check of the
+exponential tail inequalities used by the closed-form bounds complete the
+module. The decoder and bound tests lean on these as independent
+references.
 """
 
 from __future__ import annotations
@@ -73,38 +76,6 @@ def quadform_mgf(spec: QuadFormSpec, t: float) -> float:
     return math.exp(log_mgf)
 
 
-def z_I_moments(m: int, k: int, s: int) -> Tuple[float, float]:
-    """Mean and variance of the noise-normalized correct-support statistic.
-
-    The statistic is chi-square with S(M-K) degrees of freedom, so the pair
-    is (S(M-K), 2 S(M-K)).
-    """
-    if not m > k:
-        raise InvalidRangeError(f"need M > K, got M={m}, K={k}")
-    if s < 1:
-        raise InvalidRangeError(f"need at least one vector, got S={s}")
-    d = s * (m - k)
-    return float(d), float(2 * d)
-
-
-def z_J_moments(alpha_list: Sequence[float], m: int, k: int) -> Tuple[float, float]:
-    """Mean and variance of the incorrect-support statistic.
-
-    With per-vector centering energies alpha_s the pair is
-    ((M-K) sum alpha, 2 (M-K) sum alpha^2).
-    """
-    if not m > k:
-        raise InvalidRangeError(f"need M > K, got M={m}, K={k}")
-    alphas = np.asarray(alpha_list, dtype=float)
-    if alphas.size == 0:
-        raise InvalidRangeError("need at least one centering energy")
-    if not (alphas > 0).all():
-        raise InvalidRangeError("centering energies must all be > 0")
-    mean = (m - k) * float(alphas.sum())
-    var = 2.0 * (m - k) * float(np.sum(alphas**2))
-    return mean, var
-
-
 # ---- Direct samplers -----------------------------------------------------
 
 
@@ -123,27 +94,17 @@ def sample_quadform(spec: QuadFormSpec, trials: int, seed: Seed) -> np.ndarray:
     return out
 
 
-def sample_z_correct(
-    m: int,
-    k: int,
-    s: int,
-    trials: int,
-    seed: Seed,
-    sigma2: float = 1.0,
-) -> np.ndarray:
+def sample_z_correct(m: int, k: int, s: int, trials: int, seed: Seed) -> np.ndarray:
     """Sample the noise-normalized correct-support statistic end to end.
 
     Each trial draws fresh Gaussian sensing blocks and noise, projects the
     noise off every block's column span, and sums the residual energies
-    over the S vectors, normalizing by the noise variance. Matches the
+    over the S vectors in units of the noise variance. Matches the
     decoder's statistic at the true support because the clean measurement
     component lies inside the span. That is the incorrect-support sampler
-    with every centering energy equal to sigma2, divided by sigma2.
+    with every centering energy equal to one.
     """
-    if not sigma2 > 0:
-        raise InvalidRangeError(f"sigma2 must be > 0, got {sigma2}")
-    z_I_moments(m, k, s)  # the M > K and S >= 1 validation
-    return sample_z_incorrect([sigma2] * s, m, k, trials, seed) / sigma2
+    return sample_z_incorrect([1.0] * s, m, k, trials, seed)
 
 
 def sample_z_incorrect(
@@ -163,7 +124,7 @@ def sample_z_incorrect(
     if trials < 1:
         raise InvalidRangeError(f"need at least one trial, got {trials}")
     alphas = np.asarray(alpha_list, dtype=float)
-    z_J_moments(alphas, m, k)  # shared validation
+    QuadFormSpec.from_alpha(alphas, m, k)  # M > K and positive energies
     s = alphas.size
     rng = as_rng(seed)
     scale = np.sqrt(alphas)[:, None]
@@ -219,7 +180,8 @@ def laurent_massart_check(
 ) -> TailCheckResult:
     """Empirically verify both exponential tail bounds at level x.
 
-    Y is sampled trials times; the exceedance counts are compared against
+    Y is drawn trials times by sample_quadform over the positive weights (a
+    zero weight adds nothing to Y); the exceedance counts are compared against
     the largest count consistent (at one-sided 99% confidence) with a true
     rate of exp(-x). Requires trials >= 1000 so the binomial allowance is
     meaningful.
@@ -240,16 +202,9 @@ def laurent_massart_check(
     upper_cut = 2.0 * norm2 * math.sqrt(x) + 2.0 * norm_inf * x
     lower_cut = -2.0 * norm2 * math.sqrt(x)
 
-    rng = as_rng(seed)
-    n_upper = 0
-    n_lower = 0
-    step = max(1, _SAMPLE_CHUNK // alphas.size)
-    for lo in range(0, trials, step):
-        hi = min(lo + step, trials)
-        g = rng.standard_normal((hi - lo, alphas.size))
-        y = (g * g - 1.0) @ alphas
-        n_upper += int(np.count_nonzero(y >= upper_cut))
-        n_lower += int(np.count_nonzero(y <= lower_cut))
+    y = sample_quadform(QuadFormSpec(alphas[alphas > 0]), trials, seed) - alphas.sum()
+    n_upper = int(np.count_nonzero(y >= upper_cut))
+    n_lower = int(np.count_nonzero(y <= lower_cut))
 
     bound = math.exp(-x)
     # Largest exceedance count still consistent with a true rate <= bound.

@@ -82,17 +82,6 @@ def brute_force_decode(y_arr, f_arr, noise_var, k, delta, true_support):
     return best, correct_typical, num_incorrect, event_failure, decode_error
 
 
-def brute_force_min_residual(vectors, support, j):
-    """Two-level minimum of leftover energy, naive version."""
-    leftover = [i for i in support if i not in set(j)]
-    if not leftover:
-        return 0.0
-    best = math.inf
-    for row in np.asarray(vectors, dtype=float):
-        best = min(best, float(sum(row[i] ** 2 for i in leftover)))
-    return best
-
-
 def naive_upper_log(n, k, m, s, sigma2, xmin2, rho):
     """Direct float transcription of the combined failure bound (log nats)."""
     delta = (1.0 / rho) * (1.0 - k / m) * xmin2

@@ -29,7 +29,7 @@ from jsm2lab.ensemble import (
     sample_support,
 )
 from jsm2lab.montecarlo import TrialPlan, find_M_star, run_trials, trend_residual
-from jsm2lab.quadstats import laurent_massart_check, sample_z_correct, z_J_moments
+from jsm2lab.quadstats import QuadFormSpec, laurent_massart_check, sample_z_correct
 from oracles import brute_force_decode, brute_force_stats
 
 ACCEPT_SEED = 20260816
@@ -165,7 +165,8 @@ def test_06_incorrect_statistic_moments_through_pipeline():
         alphas = [
             float(np.sum(x.vectors[si, missed] ** 2)) + sigma2 for si in range(s)
         ]
-        mean_t, var_t = z_J_moments(alphas, m, k)
+        spec = QuadFormSpec.from_alpha(alphas, m, k)
+        mean_t, var_t = spec.mean, spec.variance
         vals = np.empty(trials)
         for tr in range(trials):
             f = sample_sensing(m, n, s, np.random.SeedSequence((ACCEPT_SEED, int(pick), tr, 0)))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,10 @@ from jsm2lab.bounds import (
     corollary3_S_bound_high_snr,
     exp_ineq_bounds,
     fano_lower_perr,
-    fano_lower_value,
     log_binom,
     log_mu_factors,
     mmv_order_comparison,
     necessary_M,
-    necessary_m_value,
     p_chernoff,
     sufficiency_report,
     sufficient_M,
@@ -354,6 +353,11 @@ class TestCorollary3:
         )
         assert corollary3_S_bound(p, 0.01) == pytest.approx(expected, rel=1e-12)
 
+    def test_ignores_delta_override(self):
+        base = corollary3_S_bound(self.P, 0.01)
+        for delta in (0.0, 0.05, math.inf):
+            assert corollary3_S_bound(replace(self.P, delta_override=delta), 0.01) == base
+
     def test_combined_bound_below_epsilon_at_vector_count(self):
         # acceptance test_07 checks its 0.05 line at this vector count
         accept = ProblemParams(n=8, k=2, m=3, s=1, sigma2=0.01, xmin2=1.0, rho=2.0)
@@ -367,60 +371,77 @@ class TestCorollary3:
                 assert upper_bound_perr(at).upper_perr <= eps
 
 
+def _at(n=1024, k=16, m=32, s=4, snr=1.0):
+    """A parameter point at SNR_min = snr (x_min^2 = 1)."""
+    return ProblemParams(n=n, k=k, m=m, s=s, sigma2=1.0 / snr, xmin2=1.0, rho=2.0)
+
+
 class TestNecessaryM:
     def test_frozen_value(self):
-        assert necessary_m_value(1024, 16, 4, 1.0) == pytest.approx(
-            11.620900750615736, rel=1e-9
-        )
+        assert necessary_M(_at()) == pytest.approx(11.620900750615736, rel=1e-9)
 
     def test_quarters_with_four_vectors(self):
-        one = necessary_m_value(1024, 16, 1, 1.0)
-        four = necessary_m_value(1024, 16, 4, 1.0)
+        one = necessary_M(_at(s=1))
+        four = necessary_M(_at(s=4))
         assert one == pytest.approx(4.0 * four, rel=1e-12)
 
     def test_vacuous_regime_warns(self):
+        # 2 K log(N/K) = 2 log 2: the numerator is exactly zero
         with pytest.warns(RuntimeWarning):
-            got = necessary_m_value(4, 4, 2, 1.0)
+            got = necessary_M(_at(n=2, k=1, m=2, s=1, snr=10.0))
         assert got == 0.0
 
     def test_params_wrapper(self):
-        p = ProblemParams(n=1024, k=16, m=32, s=4, sigma2=1.0, xmin2=1.0, rho=2.0)
-        assert necessary_M(p) == pytest.approx(necessary_m_value(1024, 16, 4, 1.0))
+        # only N, K, S and SNR_min enter: M, rho, the slack and the noise
+        # scale at fixed SNR_min do not
+        base = necessary_M(_at())
+        p = ProblemParams(
+            n=1024, k=16, m=100, s=4, sigma2=4.0, xmin2=4.0, rho=3.0, delta_override=0.1
+        )
+        assert necessary_M(p) == base
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            necessary_m_value(8, 2, 1, 0.0)
-        with pytest.raises(InvalidRangeError):
-            necessary_m_value(2, 4, 1, 1.0)
+        # the points the formula cannot take are refused by ProblemParams
+        with pytest.raises(InvalidParameterError):
+            _at(n=4, k=4, m=4)
+        with pytest.raises(InvalidParameterError):
+            ProblemParams(n=8, k=2, m=4, s=1, sigma2=1.0, xmin2=0.0)
+        with pytest.raises(InvalidParameterError):
+            ProblemParams(n=8, k=2, m=4, s=1, sigma2=math.inf, xmin2=1.0)
 
 
 class TestFano:
     def test_frozen_value(self):
-        assert fano_lower_value(1024, 16, 6, 4, 1.0) == pytest.approx(
-            0.47865047817704076, rel=1e-9
-        )
+        assert fano_lower_perr(_at(m=17, s=1)) == pytest.approx(0.6276725609309595, rel=1e-9)
 
     def test_zero_measurements_leave_log2_term(self):
-        got = fano_lower_value(1024, 16, 0, 4, 1.0)
+        # as SNR_min -> 0 the measurements carry nothing and only log 2 is left
+        got = fano_lower_perr(_at(m=17, snr=1e-12))
         assert got == pytest.approx(1.0 - math.log(2.0) / (16.0 * math.log(64.0)))
 
     def test_zero_exactly_at_necessary_count(self):
-        m_star = necessary_m_value(1024, 16, 4, 1.0)
-        assert fano_lower_value(1024, 16, m_star, 4, 1.0) == pytest.approx(0.0, abs=1e-12)
+        # the floor vanishes at the first whole M past necessary_M and not before
+        for n, k, s, snr in ((1024, 16, 1, 0.5), (4096, 8, 1, 0.5), (256, 4, 1, 1.0)):
+            m_nec = necessary_M(_at(n=n, k=k, s=s, snr=snr))
+            assert math.floor(m_nec) > k
+            assert fano_lower_perr(_at(n=n, k=k, m=math.ceil(m_nec), s=s, snr=snr)) == 0.0
+            assert fano_lower_perr(_at(n=n, k=k, m=math.floor(m_nec), s=s, snr=snr)) > 0.0
 
     def test_clamps_above_necessary_count(self):
-        assert fano_lower_value(1024, 16, 200, 4, 1.0) == 0.0
+        assert fano_lower_perr(_at(m=200)) == 0.0
 
     def test_monotone_in_m_s_snr(self):
-        base = fano_lower_value(1024, 16, 6, 4, 1.0)
-        assert fano_lower_value(1024, 16, 8, 4, 1.0) < base
-        assert fano_lower_value(1024, 16, 6, 8, 1.0) < base
-        assert fano_lower_value(1024, 16, 6, 4, 4.0) < base
-        assert fano_lower_value(4096, 16, 6, 4, 1.0) > base
+        base = fano_lower_perr(_at(m=17, s=1))
+        assert fano_lower_perr(_at(m=20, s=1)) < base
+        assert fano_lower_perr(_at(m=17, s=2)) < base
+        assert fano_lower_perr(_at(m=17, s=1, snr=1.5)) < base
+        assert fano_lower_perr(_at(n=4096, m=17, s=1)) > base
 
     def test_params_wrapper(self):
         p = ProblemParams(n=1024, k=4, m=6, s=4, sigma2=1.0, xmin2=1.0, rho=2.0)
-        assert fano_lower_perr(p) == pytest.approx(fano_lower_value(1024, 4, 6, 4, 1.0))
+        expected = 1.0 - (0.5 * 4 * 6 * math.log(5.0) + math.log(2.0)) / (4 * math.log(256.0))
+        assert fano_lower_perr(p) == pytest.approx(expected, rel=1e-12)
+        assert upper_bound_perr(p).lower_perr == fano_lower_perr(p)
 
 
 class TestMmvComparison:
@@ -501,7 +522,7 @@ class TestCsvRows:
         assert len(cells) == len(header_cols)
         parsed = dict(zip(header_cols, (float(c) for c in cells)))
         assert parsed["nu2"] == pytest.approx(10.354797798248361)
-        assert parsed["m_necessary"] == pytest.approx(necessary_m_value(1024, 16, 4, 2.0))
+        assert parsed["m_necessary"] == pytest.approx(necessary_M(T_HALF))
 
 
 class TestLogBinom:

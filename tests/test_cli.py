@@ -320,6 +320,7 @@ class TestCommands:
         entries += [(flag[2:], value) for flag, value in zip(flags[::2], flags[1::2])]
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries))
+        errors = []
         for argv in (
             ["simulate"] + [token for key, value in entries for token in (f"--{key}", value)],
             ["simulate", "--config", str(cfg)],
@@ -328,6 +329,12 @@ class TestCommands:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+            errors.append(captured.err)
+        flag_error, file_error = errors
+        if flag_error.startswith("error: argument --"):
+            # a value the parser refuses names the file line it came from
+            flag_error = flag_error.replace("error:", f"error: {cfg}:{len(entries)}:", 1)
+        assert file_error == flag_error
 
     @pytest.mark.parametrize("snr", ["0", "-1", "inf", "nan"])
     def test_bounds_refuses_a_non_positive_or_non_finite_snr(self, snr, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from jsm2lab.ensemble import (
     SparseEnsemble,
     SupportSet,
     measure,
-    min_residual_energy,
     sample_sensing,
     sample_sparse_ensemble,
     sample_support,
@@ -22,9 +22,6 @@ from jsm2lab.errors import (
     InvalidParameterError,
     InvalidRangeError,
 )
-from oracles import brute_force_min_residual
-
-import itertools
 
 
 class TestSupportSet:
@@ -90,7 +87,6 @@ class TestSparseEnsemble:
         x = sample_sparse_ensemble(sup, 4, 1.5, AMPLITUDE_UNIFORM, x_max=4.0, seed=8)
         mags = np.abs(x.vectors[:, sup.as_array()])
         assert mags.min() >= 1.5
-        assert x.x_min_sq >= 1.5**2
 
     def test_uniform_requires_x_max(self):
         sup = SupportSet((0, 1), 4)
@@ -122,43 +118,6 @@ class TestSparseEnsemble:
         x = sample_sparse_ensemble(sup, 2, 1.0, seed=5)
         with pytest.raises(ValueError):
             x.vectors[0, 1] = 9.0
-
-
-class TestMinResidualEnergy:
-    def test_same_support_is_zero(self):
-        sup = SupportSet((1, 3), 6)
-        x = sample_sparse_ensemble(sup, 3, 2.0, seed=11)
-        assert min_residual_energy(x, sup) == 0.0
-
-    def test_singleton_miss(self):
-        sup = SupportSet((2,), 6)
-        x = sample_sparse_ensemble(sup, 1, 3.0, seed=2)
-        assert min_residual_energy(x, SupportSet((5,), 6)) == pytest.approx(9.0)
-
-    def test_fixed_mode_global_minimum_is_x_min_sq(self):
-        # every incorrect candidate misses at least one +-2 entry
-        sup = SupportSet((1, 3), 6)
-        x = sample_sparse_ensemble(sup, 3, 2.0, seed=13)
-        vals = [
-            min_residual_energy(x, SupportSet(j, 6))
-            for j in itertools.combinations(range(6), 2)
-            if j != sup.indices
-        ]
-        assert min(vals) == pytest.approx(4.0)
-
-    def test_matches_brute_force(self):
-        sup = sample_support(7, 3, 21)
-        x = sample_sparse_ensemble(sup, 2, 1.2, AMPLITUDE_UNIFORM, x_max=3.0, seed=22)
-        for j in itertools.combinations(range(7), 3):
-            mine = min_residual_energy(x, SupportSet(j, 7))
-            ref = brute_force_min_residual(x.vectors, sup.indices, j)
-            assert mine == pytest.approx(ref, abs=1e-12)
-
-    def test_size_mismatch_rejected(self):
-        sup = SupportSet((1, 3), 6)
-        x = sample_sparse_ensemble(sup, 1, 1.0, seed=4)
-        with pytest.raises(InvalidDimensionError):
-            min_residual_energy(x, SupportSet((2,), 6))
 
 
 class TestSampleSensing:

@@ -1,6 +1,7 @@
 """Structural invariants checked over generated inputs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jsm2lab.bounds import (
-    fano_lower_value,
+    fano_lower_perr,
     log_binom,
     p_chernoff,
     sufficient_M,
@@ -23,7 +24,7 @@ from jsm2lab.ensemble import (
     SupportSet,
 )
 from jsm2lab.montecarlo import trend_residual, wilson_interval
-from jsm2lab.quadstats import QuadFormSpec, z_J_moments
+from jsm2lab.quadstats import QuadFormSpec
 from oracles import brute_force_decode, brute_force_stats
 
 
@@ -87,8 +88,8 @@ def test_sufficiency_exceeds_sparsity_and_fano_dies_beyond_it(params):
     m_suff = sufficient_M(params)
     assert m_suff > params.k
     # any M at or past the requirement drives the converse floor to zero
-    big_m = int(math.ceil(m_suff)) + 1
-    assert fano_lower_value(params.n, params.k, big_m, params.s, params.snr_min) >= 0.0
+    big_m = min(int(math.ceil(m_suff)) + 1, params.n)
+    assert fano_lower_perr(replace(params, m=big_m)) >= 0.0
 
 
 @given(n=st.integers(0, 400), k=st.integers(0, 400))
@@ -106,9 +107,9 @@ def test_log_binom_symmetry(n, k):
 def test_spec_moments_match_closed_form(alphas, m):
     k = m - 1
     spec = QuadFormSpec.from_alpha(alphas, m, k)
-    mean, var = z_J_moments(alphas, m, k)
-    assert math.isclose(spec.mean, mean, rel_tol=1e-12)
-    assert math.isclose(spec.variance, var, rel_tol=1e-12)
+    # ((M-K) sum alpha, 2 (M-K) sum alpha^2)
+    assert math.isclose(spec.mean, (m - k) * sum(alphas), rel_tol=1e-12)
+    assert math.isclose(spec.variance, 2.0 * (m - k) * sum(a * a for a in alphas), rel_tol=1e-12)
 
 
 @given(st.lists(st.floats(0.0, 1.0), max_size=12))

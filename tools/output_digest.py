@@ -12,7 +12,9 @@ Two checkouts whose output bytes agree print identical lines, so
 
 is empty. The set covers the Monte Carlo commands (a sweep over M with a
 worker pool, four simulate points, one with redrawn uniform amplitudes,
-and find-m with one and two workers), bounds and verify.
+and find-m with one and two workers), bounds at three points (one where
+the necessary measurement count is vacuous, one where the Corollary 2
+columns are NaN) and verify at two seeds, one at 200,000 samples.
 """
 
 from __future__ import annotations
@@ -69,7 +71,10 @@ RUNS: Tuple[Tuple[str, List[str], Optional[str]], ...] = (
         None,
     ),
     ("bounds", "bounds --n 64 --k 4 --s 2 --snr 1 --m 5".split(), None),
+    ("bounds-vacuous-necessary", "bounds --n 2 --k 1 --m 2 --s 1 --snr 10".split(), None),
+    ("bounds-cor2-nan", "bounds --n 64 --k 4 --m 16 --s 2 --snr 0.5".split(), None),
     ("verify", "verify --seed 7 --trials 20000".split(), None),
+    ("verify-seed11", "verify --seed 11 --trials 200000".split(), None),
 )
 
 
