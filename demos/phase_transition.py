@@ -26,7 +26,7 @@ def main():
         )
         for m in range(K + 1, N + 1)
     ]
-    rows = sweep(plans, axis="m")
+    rows = sweep(plans)
     write_sweep_csv(rows, "phase_transition.csv")
 
     print(f"N={N} K={K} S={S} SNR={SNR}, {TRIALS} trials per point")

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
@@ -31,7 +32,6 @@ from .decoder import DEFAULT_ENUMERATION_CAP, check_enumeration_budget, projecti
 from .ensemble import AMPLITUDE_FIXED, AMPLITUDE_MODES, ProblemParams
 from .errors import ConfigError, EnumerationBudgetError, InvalidRangeError, Jsm2LabError
 from .montecarlo import (
-    _AXIS_KEYS,
     TrialPlan,
     find_M_star,
     sweep,
@@ -54,6 +54,11 @@ DEFAULT_TRIALS = 10_000
 DEFAULT_RHO = 2.0
 DEFAULT_XMIN2 = 1.0
 DEFAULT_SIGMA2 = 1.0
+
+# The dimensions a sweep can vary; its rows follow the grid values in
+# increasing order (for snr, increasing SNR_min).
+SWEEP_AXES = ("k", "m", "n", "s", "snr")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -123,7 +128,7 @@ _FLAGS: Dict[str, dict] = {
     "delta": dict(type=float),
     "target": dict(type=float),
     "xmax": dict(type=float),
-    "axis": dict(type=str.lower, choices=sorted(_AXIS_KEYS)),
+    "axis": dict(type=str.lower, choices=SWEEP_AXES),
     "values": dict(type=_parse_values),
     "out": dict(),
     "amplitude": dict(choices=AMPLITUDE_MODES, default=AMPLITUDE_FIXED),
@@ -197,7 +202,7 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
 
     if command == "sweep":
         if args.axis is None:
-            raise ConfigError(f"sweep requires --axis (one of {sorted(_AXIS_KEYS)})")
+            raise ConfigError(f"sweep requires --axis (one of {list(SWEEP_AXES)})")
         if args.values is None:
             raise ConfigError("sweep requires --values")
     if command == "find-m" and args.target is None:
@@ -298,7 +303,7 @@ def _grid_plans(config: ExperimentConfig) -> List[TrialPlan]:
     base = _plan(config)
     params = config.params
     plans = []
-    for value in config.values:
+    for value in sorted(config.values):
         try:
             if config.axis == "snr":
                 point = replace(params, sigma2=_sigma2_at(params.xmin2, float(value)))
@@ -322,7 +327,7 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
     check_enumeration_budget(config.params, config.enumeration_cap)
     plan = _plan(config)
     start = time.monotonic()
-    rows = sweep([plan], axis="m", jobs=config.jobs, enumeration_cap=config.enumeration_cap)
+    rows = sweep([plan], jobs=config.jobs, enumeration_cap=config.enumeration_cap)
     wall = time.monotonic() - start
     _emit(sweep_csv_lines(rows), config.out)
     if config.out:
@@ -333,7 +338,7 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
 def _cmd_sweep(config: ExperimentConfig) -> int:
     plans = _grid_plans(config)
     start = time.monotonic()
-    rows = sweep(plans, axis=config.axis, jobs=config.jobs, enumeration_cap=config.enumeration_cap)
+    rows = sweep(plans, jobs=config.jobs, enumeration_cap=config.enumeration_cap)
     wall = time.monotonic() - start
     text = sweep_csv_lines(rows)
     if config.out:
@@ -492,26 +497,28 @@ def run(config: ExperimentConfig) -> int:
     return _COMMAND_HANDLERS[config.command](config)
 
 
+def _show_warning(message, *_) -> None:
+    """Print a warning as one line in the style of the error lines."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        config = parse_config(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(config)
-    except EnumerationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except Jsm2LabError as exc:
-        # bad configuration, including values the parser let through that a
-        # computation then refused
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, BrokenProcessPool) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return run(parse_config(argv))
+        except EnumerationBudgetError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        except Jsm2LabError as exc:
+            # a flag or file entry the parser refused (ConfigError), or a
+            # value it let through that a computation then refused
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (OSError, BrokenProcessPool) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

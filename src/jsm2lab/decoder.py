@@ -36,9 +36,10 @@ The walk does not care which trial a vector belongs to, so one walk scores
 a stack of T trials as T*S vectors. Its callers sum each trial's S vectors
 and hand the (T, candidates) scores to one selection step, vectorised over
 trials: it counts typical candidates, records the true support's verdict
-and keeps each trial's running best by a strict < across chunks and the
-first occurrence of the minimum within one, so ties go to the
-lexicographically smallest support. One step turns its per-trial counts,
+(its position read from the prefix tables the walk enumerates) and keeps
+each trial's running best by a strict < across chunks and the first
+occurrence of the minimum within one, so ties go to the lexicographically
+smallest support. One step turns its per-trial counts,
 verdicts and best positions into the failure events (TrialEvents), which
 decode_trials returns for the T trials that trials_per_walk allows and
 decode reads row 0 of at T = 1. typicality_stat reads the scores of its
@@ -107,20 +108,6 @@ class TrialEvents:
     @property
     def event_failure(self) -> np.ndarray:
         return ~self.correct_typical | (self.num_incorrect_typical > 0)
-
-    def counts(self) -> np.ndarray:
-        """Trials with each event, in RunResult's order.
-
-        The failure union, a decode error, the true support atypical, and an
-        incorrect support typical.
-        """
-        events = (
-            self.event_failure,
-            self.decode_error,
-            ~self.correct_typical,
-            self.num_incorrect_typical > 0,
-        )
-        return np.array([np.count_nonzero(e) for e in events], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -404,22 +391,26 @@ def _select(
     matrices: np.ndarray,
     measurements: np.ndarray,
     params: ProblemParams,
-    i_true: int,
+    true_support: Optional[SupportSet],
     enumeration_cap: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The selection step over every candidate of t trials scored in one walk.
 
     matrices and measurements are stacked as _check_stacks requires. Returns
-    per trial the number of typical candidates, whether candidate i_true (its
-    lexicographic position, -1 for none) is typical, and the position of the
-    typical candidate with the smallest |centered| value (-1 when none is
-    typical). Chunks arrive in lexicographic order, and a strict < across
-    chunks with the first occurrence of the minimum within one keeps the
-    earliest tie.
+    the lexicographic position i_true of the true support (-1 for none), and
+    per trial the number of typical candidates, whether candidate i_true is
+    typical, and the position of the typical candidate with the smallest
+    |centered| value (-1 when none is typical). Chunks arrive in
+    lexicographic order, and a strict < across chunks with the first
+    occurrence of the minimum within one keeps the earliest tie.
     """
     _check_stacks(matrices, measurements, params)
     center, threshold = _window(params)
     check_enumeration_budget(params, enumeration_cap)
+    i_true = -1
+    if true_support is not None:
+        _check_support(true_support, params)
+        i_true = _lex_rank(_prefix_tables(params.n, params.k), true_support.indices)
     t = matrices.shape[0]
     num_typical = np.zeros(t, dtype=np.int64)
     true_typical = np.zeros(t, dtype=bool)
@@ -442,7 +433,7 @@ def _select(
             hit = (abs_centered[rows] == cand_abs[rows, None]) & ok[rows]
             best_abs[rows] = cand_abs[rows]
             best[rows] = lo + hit.argmax(axis=1)
-    return num_typical, true_typical, best
+    return i_true, num_typical, true_typical, best
 
 
 def _support_at(levels: Tuple[_Level, ...], i: int) -> Tuple[int, ...]:
@@ -454,16 +445,16 @@ def _support_at(levels: Tuple[_Level, ...], i: int) -> Tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _lex_rank(indices: Tuple[int, ...], n: int) -> int:
-    """Position of a sorted index tuple in the lexicographic enumeration."""
-    k = len(indices)
-    rank = 0
-    prev = -1
-    for pos, v in enumerate(indices):
-        for u in range(prev + 1, v):
-            rank += math.comb(n - 1 - u, k - pos - 1)
-        prev = v
-    return rank
+def _lex_rank(levels: Tuple[_Level, ...], indices: Tuple[int, ...]) -> int:
+    """Position of a sorted size-k index tuple in the last level, _support_at's inverse.
+
+    Level 1 lists column c at position c, and the children of a prefix
+    ending in column p list columns p+1, p+2, ... from its child_off entry.
+    """
+    i = indices[0]
+    for level, prev, col in zip(levels, indices, indices[1:]):
+        i = int(level.child_off[i]) + col - prev - 1
+    return i
 
 
 def check_enumeration_budget(params: ProblemParams, enumeration_cap: int) -> None:
@@ -476,7 +467,7 @@ def check_enumeration_budget(params: ProblemParams, enumeration_cap: int) -> Non
 
 
 def _events(i_true: int, counts: np.ndarray, verdicts: np.ndarray, best: np.ndarray) -> TrialEvents:
-    """The failure events of _select's per-trial counts, verdicts and best positions."""
+    """The failure events of _select's true position and per-trial counts, verdicts and best."""
     return TrialEvents(
         correct_typical=verdicts,
         num_incorrect_typical=counts - verdicts,
@@ -503,12 +494,8 @@ def decode(
     enumeration_cap.
     """
     n = params.n
-    i_true = -1
-    if true_support is not None:
-        _check_support(true_support, params)
-        i_true = _lex_rank(true_support.indices, n)
-    counts, verdicts, best = _select(
-        f.matrices[None], y.measurements[None], params, i_true, enumeration_cap
+    i_true, counts, verdicts, best = _select(
+        f.matrices[None], y.measurements[None], params, true_support, enumeration_cap
     )
     decoded = None
     if best[0] >= 0:
@@ -544,6 +531,4 @@ def decode_trials(
     MeasurementEnsemble(measurements[t]), and its events are the ones decode
     reports for it. trials_per_walk bounds the T worth stacking.
     """
-    _check_support(true_support, params)
-    i_true = _lex_rank(true_support.indices, params.n)
-    return _events(i_true, *_select(matrices, measurements, params, i_true, enumeration_cap))
+    return _events(*_select(matrices, measurements, params, true_support, enumeration_cap))

@@ -209,6 +209,22 @@ class ProblemParams:
 # ---- Sampling ----------------------------------------------------------
 
 
+def check_amplitudes(amplitude_mode: str, x_min: float, x_max: Optional[float]) -> None:
+    """Refuse amplitudes that sample_sparse_ensemble cannot draw.
+
+    x_min must be > 0 and amplitude_mode one of AMPLITUDE_MODES; uniform
+    mode needs a finite x_max >= x_min, which fixed mode never consults.
+    """
+    if not x_min > 0:
+        raise InvalidRangeError(f"x_min must be > 0, got {x_min}")
+    if amplitude_mode not in AMPLITUDE_MODES:
+        raise InvalidParameterError(
+            f"amplitude_mode must be one of {AMPLITUDE_MODES}, got {amplitude_mode!r}"
+        )
+    if amplitude_mode == AMPLITUDE_UNIFORM and not (x_max is not None and x_min <= x_max < math.inf):
+        raise InvalidRangeError(f"uniform amplitude needs a finite x_max >= x_min={x_min}, got {x_max}")
+
+
 def sample_support(n: int, k: int, seed: Seed) -> SupportSet:
     """Draw a uniformly random size-k subset of {0, ..., n-1}."""
     if not 1 <= k <= n:
@@ -231,27 +247,18 @@ def sample_sparse_ensemble(
 
     amplitude_mode "fixed": every on-support entry is +-x_min with a random
     sign. amplitude_mode "uniform": magnitudes are uniform on [x_min, x_max]
-    with random signs (x_max required). Either way the realized minimum
-    on-support magnitude is >= x_min.
+    with random signs (x_max finite and >= x_min, as check_amplitudes
+    requires). Either way the realized minimum on-support magnitude is >= x_min.
     """
     if s < 1:
         raise InvalidDimensionError(f"need at least one vector, got s={s}")
-    if not x_min > 0:
-        raise InvalidRangeError(f"x_min must be > 0, got {x_min}")
-    if amplitude_mode not in AMPLITUDE_MODES:
-        raise InvalidParameterError(
-            f"amplitude_mode must be one of {AMPLITUDE_MODES}, got {amplitude_mode!r}"
-        )
+    check_amplitudes(amplitude_mode, x_min, x_max)
     rng = as_rng(seed)
     k = support.size
     signs = np.where(rng.random((s, k)) < 0.5, -1.0, 1.0)
     if amplitude_mode == AMPLITUDE_FIXED:
         mags = np.full((s, k), float(x_min))
     else:
-        if x_max is None:
-            raise InvalidRangeError("uniform amplitude mode requires x_max")
-        if x_max < x_min:
-            raise InvalidRangeError(f"x_max={x_max} must be >= x_min={x_min}")
         mags = rng.uniform(x_min, x_max, size=(s, k))
     vectors = np.zeros((s, support.ambient_dim))
     vectors[:, support.as_array()] = signs * mags

@@ -21,10 +21,11 @@ a worker runs; inside it, trials are drawn and scored in sub-blocks of
 decoder.trials_per_walk trials, one sampler call per role and a single
 walk of the decoder per sub-block. Matrices and noise are sequential
 standard-normal draws, so the sub-block size does not change them;
-redrawn signals are drawn once per seed block. A run, whether one plan or
-a whole sweep, maps all of its (plan, seed block) units over one process
-pool and sums each plan's counters in plan order; find_M_star keeps one
-pool for all of its probes.
+redrawn signals are drawn once per seed block. A run, whether one plan,
+a whole sweep or every probe of find_M_star, opens one worker pool
+(_workers) and maps all of its (plan, seed block) units over it, then sums
+each plan's counters in plan order. A sweep returns one row per plan in
+the caller's order; the jsm2lab sweep command orders its grid.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import isotonic_regression
 
+from . import __version__
 from . import bounds as _bounds
 from .decoder import (
     DEFAULT_ENUMERATION_CAP,
@@ -51,22 +53,16 @@ from .decoder import (
 )
 from .ensemble import (
     AMPLITUDE_FIXED,
-    AMPLITUDE_MODES,
-    AMPLITUDE_UNIFORM,
     ProblemParams,
     SparseEnsemble,
     SupportSet,
+    check_amplitudes,
     measure,
     sample_sensing,
     sample_sparse_ensemble,
     sample_support,
 )
-from .errors import (
-    EnumerationBudgetError,
-    InvalidParameterError,
-    InvalidRangeError,
-    Jsm2LabError,
-)
+from .errors import EnumerationBudgetError, InvalidRangeError, Jsm2LabError
 from .seeding import ROLE_MATRIX, ROLE_NOISE, ROLE_SIGNAL, ROLE_SUPPORT, derive_rng
 
 # 97.5% normal quantile fixing the Wilson interval level at 95%.
@@ -126,7 +122,8 @@ class TrialPlan:
     fix_signal=True draws one signal ensemble and conditions every trial on
     it, matching the conditional failure probability the bounds address;
     fix_signal=False redraws amplitudes each trial on the same support for
-    average-case curves. x_max is only consulted in uniform amplitude mode,
+    average-case curves. The amplitude mode and x_max follow
+    ensemble.check_amplitudes: x_max is only consulted in uniform mode,
     which requires it finite and at least params.x_min.
     """
 
@@ -142,17 +139,7 @@ class TrialPlan:
             raise InvalidRangeError(f"need trials >= 1, got {self.trials}")
         if self.master_seed < 0:
             raise InvalidRangeError(f"need master_seed >= 0, got {self.master_seed}")
-        if self.amplitude_mode not in AMPLITUDE_MODES:
-            raise InvalidParameterError(
-                f"amplitude_mode must be one of {AMPLITUDE_MODES}, got {self.amplitude_mode!r}"
-            )
-        if self.amplitude_mode == AMPLITUDE_UNIFORM and not (
-            self.x_max is not None and self.params.x_min <= self.x_max < math.inf
-        ):
-            raise InvalidRangeError(
-                f"uniform amplitude needs a finite x_max >= x_min={self.params.x_min}, "
-                f"got {self.x_max}"
-            )
+        check_amplitudes(self.amplitude_mode, self.params.x_min, self.x_max)
 
 
 @dataclass(frozen=True)
@@ -162,7 +149,7 @@ class RunResult:
     event_failure is the union rate the closed-form upper bound controls;
     decode_error is the mismatch rate of the concrete selection rule;
     correct_atypical and incorrect_typical_rate split the union into its
-    two components.
+    two components. _run_block counts the events in this field order.
     """
 
     event_failure: EstimateWithCI
@@ -230,53 +217,62 @@ def _run_block(args: Tuple[TrialPlan, int, int]) -> np.ndarray:
         x = SparseEnsemble(signals[first * p.s : (first + t) * p.s], support)
         f = sample_sensing(p.m, p.n, t * p.s, f_rng)
         y = measure(x, f, p.sigma2, n_rng)
-        counts += decode_trials(
+        events = decode_trials(
             f.matrices.reshape(t, p.s, p.m, p.n),
             y.measurements.reshape(t, p.s, p.m),
             p,
             support,
             enumeration_cap=cap,
-        ).counts()
+        )
+        # the failure union, a decode error, the true support atypical, and
+        # an incorrect support typical
+        counts += [
+            np.count_nonzero(e)
+            for e in (
+                events.event_failure,
+                events.decode_error,
+                ~events.correct_typical,
+                events.num_incorrect_typical > 0,
+            )
+        ]
     return counts
 
 
-def _count_events(
-    plans: Sequence[TrialPlan],
-    jobs: int,
-    enumeration_cap: int,
-    pool: Optional[ProcessPoolExecutor] = None,
-) -> List[np.ndarray]:
-    """The four event counters of every plan, in plan order.
+@contextlib.contextmanager
+def _workers(jobs: int) -> Iterator[Optional[ProcessPoolExecutor]]:
+    """The worker pool of one run: None when jobs == 1, else a pool of jobs processes.
 
-    Every (plan, seed block) unit of the run goes to one map: in this
-    process when jobs == 1 or there is a single unit, else over one pool of
-    jobs workers, the caller's pool when one is given. Budgets are the
-    caller's to check first. A bad jobs count and a crashed pool propagate.
+    Raises InvalidRangeError for jobs < 1. A pool starts its processes on
+    first use, so a run that never maps over it starts none.
     """
     if jobs < 1:
         raise InvalidRangeError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield pool
+
+
+def _run_plans(
+    plans: Sequence[TrialPlan],
+    enumeration_cap: int,
+    pool: Optional[ProcessPoolExecutor],
+) -> List[RunResult]:
+    """The event-rate estimates of every plan, in plan order.
+
+    Every (plan, seed block) unit of the run goes to one map: over the
+    pool, or in this process when there is no pool or a single unit.
+    Budgets are the caller's to check first. A crashed pool propagates.
+    """
     units = [(plan, block, enumeration_cap) for plan in plans for block in range(_blocks(plan))]
-    if jobs == 1 or len(units) <= 1:
-        parts = list(map(_run_block, units))
-    elif pool is not None:
-        parts = list(pool.map(_run_block, units))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as own:
-            parts = list(own.map(_run_block, units))
-    parts = iter(parts)
-    return [
-        sum(itertools.islice(parts, _blocks(plan)), np.zeros(4, dtype=np.int64))
-        for plan in plans
-    ]
-
-
-def _rates(counts: np.ndarray, n: int) -> RunResult:
-    return RunResult(
-        event_failure=EstimateWithCI.from_counts(int(counts[0]), n),
-        decode_error=EstimateWithCI.from_counts(int(counts[1]), n),
-        correct_atypical=EstimateWithCI.from_counts(int(counts[2]), n),
-        incorrect_typical_rate=EstimateWithCI.from_counts(int(counts[3]), n),
-    )
+    run = map if pool is None or len(units) <= 1 else pool.map
+    parts = run(_run_block, units)
+    results = []
+    for plan in plans:
+        counts = sum(itertools.islice(parts, _blocks(plan)), np.zeros(4, dtype=np.int64))
+        results.append(RunResult(*(EstimateWithCI.from_counts(int(c), plan.trials) for c in counts)))
+    return results
 
 
 def run_trials(
@@ -292,18 +288,11 @@ def run_trials(
     before running anything when the support enumeration is infeasible.
     """
     check_enumeration_budget(plan.params, enumeration_cap)
-    return _rates(_count_events([plan], jobs, enumeration_cap)[0], plan.trials)
+    with _workers(jobs) as pool:
+        return _run_plans([plan], enumeration_cap, pool)[0]
 
 
 # ---- Sweeps ---------------------------------------------------------------
-
-_AXIS_KEYS = {
-    "m": lambda p: p.m,
-    "s": lambda p: p.s,
-    "snr": lambda p: p.snr_min,
-    "n": lambda p: p.n,
-    "k": lambda p: p.k,
-}
 
 
 @dataclass(frozen=True)
@@ -348,38 +337,31 @@ MC_CSV_COLUMNS = [
 
 def sweep(
     plans: Sequence[TrialPlan],
-    axis: str,
     jobs: int = 1,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> List[SweepRow]:
-    """Run every plan and join estimates with analytic bounds, ordered by axis.
+    """Run every plan and join estimates with analytic bounds, one row per plan in order.
 
-    axis is one of m, s, snr, n, k (case-insensitive) and fixes the row
-    order. All grid points run as one job over one worker pool (jobs > 1).
-    A grid point that cannot run (enumeration budget) or has no bound
+    All grid points run as one job over one worker pool (jobs > 1). A grid
+    point that cannot run (enumeration budget) or has no bound
     (inadmissible slack, ...) becomes a row with the error recorded instead
     of aborting the remaining points; run-level failures (a bad jobs count,
     a crashed worker pool) propagate.
     """
-    key = _AXIS_KEYS.get(str(axis).lower())
-    if key is None:
-        raise InvalidParameterError(
-            f"axis must be one of {sorted(_AXIS_KEYS)}, got {axis!r}"
-        )
-    ordered = sorted(plans, key=lambda plan: key(plan.params))
     budget_errors: List[Optional[str]] = []
-    for plan in ordered:
+    for plan in plans:
         try:
             check_enumeration_budget(plan.params, enumeration_cap)
             budget_errors.append(None)
         except EnumerationBudgetError as exc:  # recorded per-row by contract
             budget_errors.append(f"trials: {exc}")
-    runnable = [plan for plan, err in zip(ordered, budget_errors) if err is None]
-    counts = iter(_count_events(runnable, jobs, enumeration_cap))
+    runnable = [plan for plan, err in zip(plans, budget_errors) if err is None]
+    with _workers(jobs) as pool:
+        results = iter(_run_plans(runnable, enumeration_cap, pool))
     rows: List[SweepRow] = []
-    for plan, budget_error in zip(ordered, budget_errors):
+    for plan, budget_error in zip(plans, budget_errors):
         errors = [budget_error] if budget_error else []
-        rates = None if budget_error else _rates(next(counts), plan.trials)
+        rates = None if budget_error else next(results)
         bound = None
         try:
             bound = _bounds.upper_bound_perr(plan.params)
@@ -425,18 +407,12 @@ def sweep_metadata(rows: Sequence[SweepRow], wall_time_s: float) -> dict:
     """Sidecar payload recording seeds, library versions, and wall time."""
     import scipy
 
-    try:
-        from importlib.metadata import version
-
-        own = version("jsm2lab")
-    except Exception:
-        own = "unknown"
     return {
         "format": "jsm2lab-sweep-meta-1",
         "created_unix": time.time(),
         "wall_time_s": wall_time_s,
         "versions": {
-            "jsm2lab": own,
+            "jsm2lab": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
@@ -504,13 +480,11 @@ def find_M_star(
         return all(a >= b for a, b in zip(pts, pts[1:]))
 
     # one pool serves every probe of the search
-    opened = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
-    with opened as pool:
+    with _workers(jobs) as pool:
 
         def probe(m: int) -> float:
             point = replace(plan, params=replace(plan.params, m=m))
-            counts = _count_events([point], jobs, enumeration_cap, pool)[0]
-            evaluations[m] = _rates(counts, point.trials).event_failure
+            evaluations[m] = _run_plans([point], enumeration_cap, pool)[0].event_failure
             return evaluations[m].point
 
         lo, hi = plan.params.k + 1, plan.params.n

@@ -76,7 +76,7 @@ def test_02_decode_error_respects_converse_floor():
         amplitude_mode="fixed",
         fix_signal=True,
     )
-    est = run_trials(plan).decode_error
+    est = run_trials(plan, jobs=2).decode_error
     ok = est.point >= floor - 3.0 * est.half_width
     assert _verdict(
         "02 converse-floor",

@@ -151,6 +151,16 @@ class TestCommands:
         assert lines[4] == "below_necessary_m,true"
         assert len(lines[1].split(",")) == len(BOUND_REPORT_CSV_HEADER.split(","))
 
+    def test_bounds_prints_a_warning_as_one_line(self, capsys):
+        # N/K too small for the necessary count: the bound module warns
+        rc = main(["bounds", "--n", "2", "--k", "1", "--m", "2", "--s", "1", "--snr", "10"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("below_necessary_m,false\n")
+        assert captured.err.startswith("warning: necessary measurement count is vacuous")
+        assert captured.err.count("\n") == 1
+        assert "bounds.py" not in captured.err
+
     def test_bounds_above_necessary(self, capsys):
         rc = main(["bounds", "--n", "64", "--k", "4", "--s", "2", "--snr", "1", "--m", "32"])
         assert rc == 0
@@ -193,6 +203,19 @@ class TestCommands:
         assert "trend_residual," in stdout
         assert len(out.read_text().strip().split("\n")) == 3
         assert (tmp_path / "grid.csv.meta.json").exists()
+
+    def test_sweep_rows_follow_increasing_grid_values(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        rc = main(
+            ["sweep", "--n", "8", "--k", "2", "--s", "2", "--snr", "4",
+             "--trials", "16", "--seed", "5", "--axis", "m",
+             "--values", "7,3,5", "--out", str(out)]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        lines = out.read_text().strip().split("\n")
+        m_col = MC_CSV_COLUMNS.index("m")
+        assert [line.split(",")[m_col] for line in lines[1:]] == ["3", "5", "7"]
 
     def test_find_m_table(self, capsys):
         rc = main(

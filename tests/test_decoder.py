@@ -300,7 +300,8 @@ class TestExactTies:
         if split:
             monkeypatch.setattr(decoder, "_SUPPORT_CHUNK", 4)
         p, support, instances = self._tied_trials(true, src, dup, trials=3)
-        first, second = decoder._lex_rank(earlier, p.n), decoder._lex_rank(later, p.n)
+        levels = decoder._prefix_tables(p.n, p.k)
+        first, second = decoder._lex_rank(levels, earlier), decoder._lex_rank(levels, later)
         for f, y in instances:
             chunk_of, value_of = {}, {}
             for lo, value, _ in decoder._candidate_scores(f.matrices, y.measurements, p.k):

@@ -98,6 +98,13 @@ class TestSparseEnsemble:
         with pytest.raises(InvalidRangeError):
             sample_sparse_ensemble(sup, 2, 2.0, AMPLITUDE_UNIFORM, x_max=1.0, seed=1)
 
+    @pytest.mark.parametrize("x_max", [math.nan, math.inf])
+    def test_uniform_rejects_a_non_finite_x_max(self, x_max):
+        # numpy's own OverflowError used to escape here
+        sup = SupportSet((0, 1), 4)
+        with pytest.raises(InvalidRangeError):
+            sample_sparse_ensemble(sup, 2, 1.0, AMPLITUDE_UNIFORM, x_max=x_max, seed=1)
+
     def test_bad_amplitude_mode(self):
         sup = SupportSet((0,), 4)
         with pytest.raises(InvalidParameterError):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import jsm2lab
 from jsm2lab import decoder, montecarlo
 from jsm2lab.bounds import upper_bound_perr
 from jsm2lab.decoder import decode, trials_per_walk
@@ -268,16 +269,12 @@ class TestSweep:
             for m in ms
         ]
 
-    def test_rows_ordered_by_axis(self):
-        rows = sweep(self._plans([7, 3, 5]), axis="m")
-        assert [r.plan.params.m for r in rows] == [3, 5, 7]
+    def test_rows_keep_plan_order(self):
+        rows = sweep(self._plans([7, 3, 5]))
+        assert [r.plan.params.m for r in rows] == [7, 3, 5]
 
     def test_empty_input(self):
-        assert sweep([], axis="m") == []
-
-    def test_bad_axis(self):
-        with pytest.raises(InvalidParameterError):
-            sweep(self._plans([3]), axis="q")
+        assert sweep([]) == []
 
     def test_budget_failure_recorded_not_raised(self):
         plans = self._plans([4])
@@ -288,7 +285,7 @@ class TestSweep:
                 master_seed=17,
             )
         )
-        rows = sweep(plans, axis="m", enumeration_cap=10_000)
+        rows = sweep(plans, enumeration_cap=10_000)
         by_m = {r.plan.params.m: r for r in rows}
         assert by_m[4].error is None
         assert by_m[4].rates is not None
@@ -297,7 +294,7 @@ class TestSweep:
         assert by_m[20].bound is not None  # the analytic side still works
 
     def test_csv_round_trip(self):
-        rows = sweep(self._plans([3, 5]), axis="m")
+        rows = sweep(self._plans([3, 5]))
         text = sweep_csv_lines(rows)
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(MC_CSV_COLUMNS)
@@ -309,8 +306,8 @@ class TestSweep:
 
     def test_csv_bytes_stable_across_jobs(self):
         plans = self._plans([3, 5], trials=300)
-        a = sweep_csv_lines(sweep(plans, axis="m", jobs=1))
-        b = sweep_csv_lines(sweep(plans, axis="m", jobs=2))
+        a = sweep_csv_lines(sweep(plans, jobs=1))
+        b = sweep_csv_lines(sweep(plans, jobs=2))
         assert a == b
 
     def test_one_pool_serves_the_whole_sweep(self, monkeypatch):
@@ -323,13 +320,13 @@ class TestSweep:
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
         plans = self._plans([3, 5, 7], trials=300)
-        pooled = sweep_csv_lines(sweep(plans, axis="m", jobs=2))
+        pooled = sweep_csv_lines(sweep(plans, jobs=2))
         assert len(pools) == 1
-        assert pooled == sweep_csv_lines(sweep(plans, axis="m", jobs=1))
+        assert pooled == sweep_csv_lines(sweep(plans, jobs=1))
         assert len(pools) == 1
 
     def test_write_csv_and_metadata(self, tmp_path):
-        rows = sweep(self._plans([3]), axis="m")
+        rows = sweep(self._plans([3]))
         out = tmp_path / "grid.csv"
         write_sweep_csv(rows, str(out))
         text = out.read_text()
@@ -339,6 +336,7 @@ class TestSweep:
         assert meta["wall_time_s"] == 1.25
         assert meta["rows"][0]["master_seed"] == 17
         assert set(meta["versions"]) == {"jsm2lab", "numpy", "scipy"}
+        assert meta["versions"]["jsm2lab"] == jsm2lab.__version__
         assert meta["interval"] == "wilson-95"
 
 

@@ -1,0 +1,46 @@
+"""The output bytes of tools/output_digest.py's runs match the committed digests.
+
+Each run goes through cli.main in-process, in its own working directory.
+The digests depend on numpy's PCG64 stream and normal sampler and on scipy,
+whose versions head tests/output_digests.txt. A change that moves output
+bytes on purpose rewrites that file with the tool and says why.
+"""
+
+import difflib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from jsm2lab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+PINNED = ROOT / "tests" / "output_digests.txt"
+
+
+def _load_output_digest():
+    spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_output_bytes_match_the_pinned_digests(tmp_path, monkeypatch, capsys):
+    tool = _load_output_digest()
+    lines = []
+    for label, args, out in tool.RUNS:
+        run_dir = tmp_path / label
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        code = main(args + (["--out", out] if out else []))
+        lines += tool.run_lines(label, code, capsys.readouterr().out.encode(), run_dir)
+    pinned = PINNED.read_text().splitlines()
+    header = [line for line in pinned if line.startswith("#")]
+    expected = [line for line in pinned if not line.startswith("#")]
+    if lines != expected:
+        diff = difflib.unified_diff(expected, lines, "pinned", "run", lineterm="", n=0)
+        pytest.fail(
+            f"output digests differ from {PINNED.name}, pinned under "
+            f"{'; '.join(h.lstrip('# ') for h in header)} and run under "
+            f"{'; '.join(h.lstrip('# ') for h in tool.version_lines())}:\n" + "\n".join(diff)
+        )

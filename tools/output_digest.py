@@ -6,15 +6,24 @@ Runs a fixed set of `jsm2lab` commands against CHECKOUT/src, each in its
 own temporary directory, and prints one line per stdout and per --out
 file: the sha256, the exit code for a stdout, and a label. Before a sweep
 sidecar is hashed its time fields (created_unix, wall_time_s) are dropped.
-Two checkouts whose output bytes agree print identical lines, so
+Two '#' lines first name the numpy and scipy versions, which the Monte
+Carlo and verify bytes depend on. Two checkouts whose output bytes agree
+print identical lines, so
 
     diff <(python3 tools/output_digest.py PARENT) <(python3 tools/output_digest.py CHANGE)
 
 is empty. The set covers the Monte Carlo commands (a sweep over M with a
-worker pool, four simulate points, one with redrawn uniform amplitudes,
-and find-m with one and two workers), bounds at three points (one where
-the necessary measurement count is vacuous, one where the Corollary 2
+worker pool, a sweep over SNR whose grid values are given out of order,
+four simulate points, one with redrawn uniform amplitudes, and find-m
+with one and two workers), bounds at three points (one where the
+necessary measurement count is vacuous, one where the Corollary 2
 columns are NaN) and verify at two seeds, one at 200,000 samples.
+
+tests/test_output_digests.py runs the same set in-process and compares
+it with tests/output_digests.txt; a change that moves output bytes on
+purpose rewrites that file with
+
+    python3 tools/output_digest.py . > tests/output_digests.txt
 """
 
 from __future__ import annotations
@@ -38,6 +47,12 @@ RUNS: Tuple[Tuple[str, List[str], Optional[str]], ...] = (
         "sweep --n 16 --k 2 --s 2 --snr 10 --trials 1000 --axis m --values 3,4,5,6,7,8,9,10,11"
         " --seed 7 --jobs 2".split(),
         "sweep.csv",
+    ),
+    (
+        "sweep-snr-order",
+        "sweep --n 12 --k 2 --m 6 --s 2 --trials 300 --axis snr --values 100,1,10"
+        " --seed 7 --jobs 2".split(),
+        None,
     ),
     (
         "simulate-n20k3m8s3",
@@ -93,6 +108,22 @@ def _file_digest(path: Path) -> str:
     return _sha(data)
 
 
+def version_lines() -> List[str]:
+    """The header lines naming the numpy and scipy versions of this interpreter."""
+    import numpy
+    import scipy
+
+    return [f"# numpy {numpy.__version__}", f"# scipy {scipy.__version__}"]
+
+
+def run_lines(label: str, exit_code: int, stdout: bytes, directory: Path) -> List[str]:
+    """The lines of one run: its stdout with the exit code, then each file it wrote."""
+    lines = [f"{_sha(stdout)}  {label} stdout exit={exit_code}"]
+    for path in sorted(directory.iterdir()):
+        lines.append(f"{_file_digest(path)}  {label} {path.name}")
+    return lines
+
+
 def digests(checkout: Path) -> List[str]:
     """One "sha256  label" line per stdout and per written file of every run."""
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
@@ -103,9 +134,7 @@ def digests(checkout: Path) -> List[str]:
             if out is not None:
                 argv += ["--out", out]  # relative, so stdout does not name the temp directory
             proc = subprocess.run(argv, cwd=tmp, env=env, capture_output=True)
-            lines.append(f"{_sha(proc.stdout)}  {label} stdout exit={proc.returncode}")
-            for path in sorted(Path(tmp).iterdir()):
-                lines.append(f"{_file_digest(path)}  {label} {path.name}")
+            lines += run_lines(label, proc.returncode, proc.stdout, Path(tmp))
     return lines
 
 
@@ -115,7 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if not (args.checkout / "src" / "jsm2lab").is_dir():
         parser.error(f"{args.checkout} has no src/jsm2lab")
-    print("\n".join(digests(args.checkout)))
+    print("\n".join(version_lines() + digests(args.checkout)))
     return 0
 
 
