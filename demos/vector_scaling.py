@@ -4,7 +4,8 @@ At M = K+1 a single vector is hopeless, yet the union failure rate falls
 geometrically as vectors accumulate. The analytic factor per vector is
 mu_J, so the union_model column tracks C(N,K) mu_J^S against the
 simulation. The closing lines print the Corollary 3 vector count, from
-which the combined bound guarantees a failure rate below 0.05.
+which the combined bound guarantees a failure rate below 0.05, and the
+high-SNR limit that count falls toward.
 
 Run as: python3 demos/vector_scaling.py
 """
@@ -13,6 +14,7 @@ import math
 
 from jsm2lab.bounds import (
     corollary3_S_bound,
+    corollary3_S_bound_high_snr,
     log_binom,
     log_mu_factors,
     upper_bound_perr,
@@ -50,10 +52,14 @@ def main():
     print("each extra vector multiplies the per-candidate acceptance by")
     print("mu_J < 1, but the simulated rate is a union over all candidates, so")
     print("it sits between the single-candidate curve and the capped union model.")
-    s_star = math.ceil(corollary3_S_bound(_params(1), EPSILON))
+    s_count = corollary3_S_bound(_params(1), EPSILON)
+    s_star = math.ceil(s_count)
     bound = upper_bound_perr(_params(s_star)).upper_perr
+    limit = corollary3_S_bound_high_snr(_params(1), EPSILON)
     print("at S=32 the union bound is vacuous; Corollary 3 guarantees a failure")
     print(f"rate below {EPSILON} from S={s_star} on (combined bound there: {bound:.4f}).")
+    print(f"its unrounded count {s_count:.2f} falls with SNR toward the high-SNR")
+    print(f"limit {limit:.2f}, so no SNR brings it below S={math.ceil(limit)}.")
 
 
 if __name__ == "__main__":

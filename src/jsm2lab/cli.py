@@ -11,14 +11,15 @@ fixed documented default so unseeded runs are still reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
-from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import ContextManager, Dict, List, NoReturn, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .bounds import (
     sufficiency_report,
     upper_bound_perr,
 )
-from .decoder import DEFAULT_ENUMERATION_CAP, check_enumeration_budget, projection_residual
+from .decoder import check_enumeration_budget, projection_residual
 from .ensemble import AMPLITUDE_FIXED, AMPLITUDE_MODES, ProblemParams
 from .errors import ConfigError, EnumerationBudgetError, InvalidRangeError, Jsm2LabError
 from .montecarlo import (
@@ -58,25 +59,6 @@ DEFAULT_SIGMA2 = 1.0
 # The dimensions a sweep can vary; its rows follow the grid values in
 # increasing order (for snr, increasing SNR_min).
 SWEEP_AXES = ("k", "m", "n", "s", "snr")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved invocation: command, problem, and run knobs."""
-
-    command: str
-    params: Optional[ProblemParams]
-    trials: int
-    master_seed: int
-    jobs: int
-    out: Optional[str]
-    axis: Optional[str]
-    values: Optional[Tuple[float, ...]]
-    target: Optional[float]
-    amplitude_mode: str
-    fix_signal: bool
-    x_max: Optional[float]
-    enumeration_cap: int
 
 
 # ---- Flag and config-file parsing ----------------------------------------
@@ -120,7 +102,6 @@ _FLAGS: Dict[str, dict] = {
     "trials": dict(type=int, default=DEFAULT_TRIALS),
     "seed": dict(type=int, default=DEFAULT_SEED),
     "jobs": dict(type=int, default=1),
-    "cap": dict(type=int, default=DEFAULT_ENUMERATION_CAP),
     "snr": dict(type=float),
     "sigma2": dict(type=float),
     "xmin2": dict(type=float, default=DEFAULT_XMIN2),
@@ -185,8 +166,13 @@ def read_config_file(path: str) -> Dict[str, str]:
     return entries
 
 
-def parse_config(argv: Sequence[str]) -> ExperimentConfig:
-    """Turn argv (plus any --config file) into a validated ExperimentConfig."""
+def parse_config(argv: Sequence[str]) -> argparse.Namespace:
+    """Turn argv (plus any --config file) into the parsed flags of one command.
+
+    The namespace holds one attribute per flag, named as the flag (seed,
+    xmax, amplitude, fix_signal, ...), and params, the ProblemParams the
+    flags describe (None for verify).
+    """
     parser = _build_parser()
     argv = list(argv)
     args = parser.parse_args(argv)
@@ -198,7 +184,7 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
         args = parser.parse_args(argv[:at] + entries + argv[at:])
 
     command = args.command
-    params = None if command == "verify" else _build_params(args)
+    args.params = None if command == "verify" else _build_params(args)
 
     if command == "sweep":
         if args.axis is None:
@@ -207,22 +193,7 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
             raise ConfigError("sweep requires --values")
     if command == "find-m" and args.target is None:
         raise ConfigError("find-m requires --target")
-
-    return ExperimentConfig(
-        command=command,
-        params=params,
-        trials=args.trials,
-        master_seed=args.seed,
-        jobs=args.jobs,
-        out=args.out,
-        axis=args.axis,
-        values=args.values,
-        target=args.target,
-        amplitude_mode=args.amplitude,
-        fix_signal=args.fix_signal,
-        x_max=args.xmax,
-        enumeration_cap=args.cap,
-    )
+    return args
 
 
 def _sigma2_at(xmin2: float, snr: float) -> float:
@@ -265,41 +236,50 @@ def _build_params(args: argparse.Namespace) -> ProblemParams:
 # ---- Subcommand bodies ----------------------------------------------------
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _open_out(path: Optional[str], suffix: str = "") -> ContextManager[Optional[TextIO]]:
+    """path + suffix opened for writing, or a null context when there is no --out.
+
+    Commands open their output before any work, so that an unwritable --out
+    exits 1 at once, with nothing on stdout.
+    """
+    return open(path + suffix, "w", newline="") if path else contextlib.nullcontext()
+
+
+def _emit(text: str, out: Optional[TextIO]) -> None:
     sys.stdout.write(text)
     if out:
-        with open(out, "w", newline="") as handle:
-            handle.write(text)
+        out.write(text)
 
 
-def _cmd_bounds(config: ExperimentConfig) -> int:
+def _cmd_bounds(config: argparse.Namespace) -> int:
     params = config.params
-    report = upper_bound_perr(params)
-    suff = sufficiency_report(params)
-    lines = [
-        BOUND_REPORT_CSV_HEADER,
-        report.csv_row(),
-        SUFFICIENCY_CSV_HEADER,
-        suff.csv_row(),
-        f"below_necessary_m,{str(params.m < suff.M_necessary).lower()}",
-    ]
-    _emit("\n".join(lines) + "\n", config.out)
+    with _open_out(config.out) as out:
+        report = upper_bound_perr(params)
+        suff = sufficiency_report(params)
+        lines = [
+            BOUND_REPORT_CSV_HEADER,
+            report.csv_row(),
+            SUFFICIENCY_CSV_HEADER,
+            suff.csv_row(),
+            f"below_necessary_m,{str(params.m < suff.M_necessary).lower()}",
+        ]
+        _emit("\n".join(lines) + "\n", out)
     return 0
 
 
-def _plan(config: ExperimentConfig) -> TrialPlan:
+def _plan(config: argparse.Namespace) -> TrialPlan:
     """The run the config describes at its own problem point."""
     return TrialPlan(
         params=config.params,
         trials=config.trials,
-        master_seed=config.master_seed,
-        amplitude_mode=config.amplitude_mode,
+        master_seed=config.seed,
+        amplitude_mode=config.amplitude,
         fix_signal=config.fix_signal,
-        x_max=config.x_max,
+        x_max=config.xmax,
     )
 
 
-def _grid_plans(config: ExperimentConfig) -> List[TrialPlan]:
+def _grid_plans(config: argparse.Namespace) -> List[TrialPlan]:
     base = _plan(config)
     params = config.params
     plans = []
@@ -315,62 +295,58 @@ def _grid_plans(config: ExperimentConfig) -> List[TrialPlan]:
     return plans
 
 
-def _write_sidecar(csv_path: str, rows, wall: float) -> None:
-    with open(csv_path + ".meta.json", "w") as handle:
-        json.dump(sweep_metadata(rows, wall), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def _write_sidecar(meta: TextIO, rows, wall: float) -> None:
+    json.dump(sweep_metadata(rows, wall), meta, indent=2, sort_keys=True)
+    meta.write("\n")
 
 
-def _cmd_simulate(config: ExperimentConfig) -> int:
+def _cmd_simulate(config: argparse.Namespace) -> int:
     # A single requested point that cannot run is a budget failure,
     # not a recordable partial result like a sweep row.
-    check_enumeration_budget(config.params, config.enumeration_cap)
+    check_enumeration_budget(config.params)
     plan = _plan(config)
-    start = time.monotonic()
-    rows = sweep([plan], jobs=config.jobs, enumeration_cap=config.enumeration_cap)
-    wall = time.monotonic() - start
-    _emit(sweep_csv_lines(rows), config.out)
-    if config.out:
-        _write_sidecar(config.out, rows, wall)
+    with _open_out(config.out) as out, _open_out(config.out, ".meta.json") as meta:
+        start = time.monotonic()
+        rows = sweep([plan], jobs=config.jobs)
+        wall = time.monotonic() - start
+        _emit(sweep_csv_lines(rows), out)
+        if meta:
+            _write_sidecar(meta, rows, wall)
     return 0
 
 
-def _cmd_sweep(config: ExperimentConfig) -> int:
+def _cmd_sweep(config: argparse.Namespace) -> int:
     plans = _grid_plans(config)
-    start = time.monotonic()
-    rows = sweep(plans, jobs=config.jobs, enumeration_cap=config.enumeration_cap)
-    wall = time.monotonic() - start
-    text = sweep_csv_lines(rows)
-    if config.out:
-        with open(config.out, "w", newline="") as handle:
-            handle.write(text)
-        _write_sidecar(config.out, rows, wall)
-        sys.stdout.write(f"wrote {len(rows)} rows to {config.out}\n")
-    else:
-        sys.stdout.write(text)
+    with _open_out(config.out) as out, _open_out(config.out, ".meta.json") as meta:
+        start = time.monotonic()
+        rows = sweep(plans, jobs=config.jobs)
+        wall = time.monotonic() - start
+        text = sweep_csv_lines(rows)
+        if out:
+            out.write(text)
+            _write_sidecar(meta, rows, wall)
+            sys.stdout.write(f"wrote {len(rows)} rows to {config.out}\n")
+        else:
+            sys.stdout.write(text)
     points = [r.rates.event_failure.point for r in rows if r.rates is not None]
     sys.stdout.write(f"trend_residual,{trend_residual(points)!r}\n")
     return 0
 
 
-def _cmd_find_m(config: ExperimentConfig) -> int:
-    result = find_M_star(
-        _plan(config),
-        target=config.target,
-        jobs=config.jobs,
-        enumeration_cap=config.enumeration_cap,
-    )
-    lines = [
-        f"m_star,{'' if result.m_star is None else result.m_star}",
-        f"saturated,{str(result.saturated).lower()}",
-        f"non_monotone,{str(result.non_monotone).lower()}",
-        f"bracket,{'' if result.bracket is None else '%d:%d' % result.bracket}",
-        "m,event_fail,ci_low,ci_high",
-    ]
-    for m in sorted(result.evaluations):
-        est = result.evaluations[m]
-        lines.append(f"{m},{est.point!r},{est.ci_low!r},{est.ci_high!r}")
-    _emit("\n".join(lines) + "\n", config.out)
+def _cmd_find_m(config: argparse.Namespace) -> int:
+    with _open_out(config.out) as out:
+        result = find_M_star(_plan(config), target=config.target, jobs=config.jobs)
+        lines = [
+            f"m_star,{'' if result.m_star is None else result.m_star}",
+            f"saturated,{str(result.saturated).lower()}",
+            f"non_monotone,{str(result.non_monotone).lower()}",
+            f"bracket,{'' if result.bracket is None else '%d:%d' % result.bracket}",
+            "m,event_fail,ci_low,ci_high",
+        ]
+        for m in sorted(result.evaluations):
+            est = result.evaluations[m]
+            lines.append(f"{m},{est.point!r},{est.ci_low!r},{est.ci_high!r}")
+        _emit("\n".join(lines) + "\n", out)
     return 0
 
 
@@ -474,12 +450,13 @@ def _verify_rows(seed: int, trials: int) -> List[Tuple[str, float, float, float,
     return rows
 
 
-def _cmd_verify(config: ExperimentConfig) -> int:
-    rows = _verify_rows(config.master_seed, config.trials)
-    lines = ["name,observed,reference,margin,status"]
-    for name, observed, reference, margin, ok in rows:
-        lines.append(f"{name},{observed!r},{reference!r},{margin!r},{'pass' if ok else 'fail'}")
-    _emit("\n".join(lines) + "\n", config.out)
+def _cmd_verify(config: argparse.Namespace) -> int:
+    with _open_out(config.out) as out:
+        rows = _verify_rows(config.seed, config.trials)
+        lines = ["name,observed,reference,margin,status"]
+        for name, observed, reference, margin, ok in rows:
+            lines.append(f"{name},{observed!r},{reference!r},{margin!r},{'pass' if ok else 'fail'}")
+        _emit("\n".join(lines) + "\n", out)
     return 0 if all(row[4] for row in rows) else 3
 
 
@@ -492,7 +469,7 @@ _COMMAND_HANDLERS = {
 }
 
 
-def run(config: ExperimentConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Dispatch a parsed config; returns the process exit code."""
     return _COMMAND_HANDLERS[config.command](config)
 

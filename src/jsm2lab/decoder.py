@@ -39,12 +39,13 @@ trials: it counts typical candidates, records the true support's verdict
 (its position read from the prefix tables the walk enumerates) and keeps
 each trial's running best by a strict < across chunks and the first
 occurrence of the minimum within one, so ties go to the lexicographically
-smallest support. One step turns its per-trial counts,
-verdicts and best positions into the failure events (TrialEvents), which
-decode_trials returns for the T trials that trials_per_walk allows and
-decode reads row 0 of at T = 1. typicality_stat reads the scores of its
-one candidate from the same walk, and one shape check of the (T, S, M, N)
-and (T, S, M) stacks serves all three.
+smallest support. The same step turns its per-trial counts, verdicts and
+best positions into the failure events (TrialEvents), which decode_trials
+returns for the T trials that trials_per_walk allows and decode reads row
+0 of at T = 1. typicality_stat reads the scores of its one candidate from
+the same walk, and one shape check of the (T, S, M, N) and (T, S, M)
+stacks serves all three. Every decode refuses a problem of more than
+ENUMERATION_CAP candidates before any work.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .errors import EnumerationBudgetError, InvalidDimensionError, RankDeficient
 RANK_TOL = 1e-10
 
 # Exhaustive enumeration refuses above this many candidate supports.
-DEFAULT_ENUMERATION_CAP = 10**6
+ENUMERATION_CAP = 10**6
 
 # Candidate supports processed per vectorized block inside decode.
 _SUPPORT_CHUNK = 16384
@@ -356,33 +357,23 @@ def _walk(levels, depth, lo, v, ry, pivot_min, pivot_max, pidx):
         yield from _walk(levels, depth + 1, c_lo, child, ry, pivot_min, pivot_max, cpar)
 
 
-def _candidate_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
-    """Residual energies and rank flags of every size-k support.
-
-    matrices is (s, m, n) and measurements (s, m). Yields (first candidate
-    index, values, rank-ok flags) chunk by chunk, in lexicographic order of
-    the supports; values and flags are (s, candidates), one row per vector.
-    """
-    s, _, n = matrices.shape
-    ft = np.ascontiguousarray(matrices.transpose(1, 0, 2))  # level 1: raw columns
-    root = measurements.T[:, :, None]  # the empty prefix deflates nothing
-    # and has no pivots: running min +inf, running max 0
-    pivot_min, pivot_max = np.full((s, 1), np.inf), np.zeros((s, 1))
-    levels = _prefix_tables(n, k)
-    return _walk(levels, 1, 0, ft, root, pivot_min, pivot_max, np.zeros(n, dtype=np.intp))
-
-
 def _trial_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
     """Residual energies and rank flags of every size-k support in each of t trials.
 
     matrices is (t, s, m, n) and measurements (t, s, m). One walk scores all
     t*s vectors; yields (first candidate index, values summed over each
-    trial's s vectors, rank-ok flags over them) chunk by chunk, both of
-    shape (t, candidates).
+    trial's s vectors, rank-ok flags over them) chunk by chunk, in
+    lexicographic order of the supports, both of shape (t, candidates).
     """
     t, s, m, n = matrices.shape
-    scores = _candidate_scores(matrices.reshape(t * s, m, n), measurements.reshape(t * s, m), k)
-    for lo, value, ok in scores:
+    vectors = t * s
+    # level 1 is the raw columns; the empty prefix deflates nothing and has
+    # no pivots: running min +inf, running max 0
+    ft = np.ascontiguousarray(matrices.reshape(vectors, m, n).transpose(1, 0, 2))
+    root = measurements.reshape(vectors, m).T[:, :, None]
+    pivot_min, pivot_max = np.full((vectors, 1), np.inf), np.zeros((vectors, 1))
+    levels = _prefix_tables(n, k)
+    for lo, value, ok in _walk(levels, 1, 0, ft, root, pivot_min, pivot_max, np.zeros(n, dtype=np.intp)):
         c = value.shape[1]
         yield lo, value.reshape(t, s, c).sum(axis=1), ok.reshape(t, s, c).all(axis=1)
 
@@ -392,21 +383,19 @@ def _select(
     measurements: np.ndarray,
     params: ProblemParams,
     true_support: Optional[SupportSet],
-    enumeration_cap: int,
-) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[TrialEvents, np.ndarray]:
     """The selection step over every candidate of t trials scored in one walk.
 
     matrices and measurements are stacked as _check_stacks requires. Returns
-    the lexicographic position i_true of the true support (-1 for none), and
-    per trial the number of typical candidates, whether candidate i_true is
-    typical, and the position of the typical candidate with the smallest
-    |centered| value (-1 when none is typical). Chunks arrive in
-    lexicographic order, and a strict < across chunks with the first
-    occurrence of the minimum within one keeps the earliest tie.
+    the failure events of each trial against the true support (meaningless
+    without one) and the lexicographic position of each trial's typical
+    candidate with the smallest |centered| value (-1 when none is typical).
+    Chunks arrive in lexicographic order, and a strict < across chunks with
+    the first occurrence of the minimum within one keeps the earliest tie.
     """
     _check_stacks(matrices, measurements, params)
     center, threshold = _window(params)
-    check_enumeration_budget(params, enumeration_cap)
+    check_enumeration_budget(params)
     i_true = -1
     if true_support is not None:
         _check_support(true_support, params)
@@ -433,7 +422,12 @@ def _select(
             hit = (abs_centered[rows] == cand_abs[rows, None]) & ok[rows]
             best_abs[rows] = cand_abs[rows]
             best[rows] = lo + hit.argmax(axis=1)
-    return i_true, num_typical, true_typical, best
+    events = TrialEvents(
+        correct_typical=true_typical,
+        num_incorrect_typical=num_typical - true_typical,
+        decode_error=best != i_true,
+    )
+    return events, best
 
 
 def _support_at(levels: Tuple[_Level, ...], i: int) -> Tuple[int, ...]:
@@ -457,22 +451,13 @@ def _lex_rank(levels: Tuple[_Level, ...], indices: Tuple[int, ...]) -> int:
     return i
 
 
-def check_enumeration_budget(params: ProblemParams, enumeration_cap: int) -> None:
-    """Raise EnumerationBudgetError when C(N, K) exceeds enumeration_cap."""
+def check_enumeration_budget(params: ProblemParams) -> None:
+    """Raise EnumerationBudgetError when C(N, K) exceeds ENUMERATION_CAP."""
     total = math.comb(params.n, params.k)
-    if total > enumeration_cap:
+    if total > ENUMERATION_CAP:
         raise EnumerationBudgetError(
-            f"C({params.n},{params.k}) = {total} exceeds enumeration cap {enumeration_cap}"
+            f"C({params.n},{params.k}) = {total} exceeds enumeration cap {ENUMERATION_CAP}"
         )
-
-
-def _events(i_true: int, counts: np.ndarray, verdicts: np.ndarray, best: np.ndarray) -> TrialEvents:
-    """The failure events of _select's true position and per-trial counts, verdicts and best."""
-    return TrialEvents(
-        correct_typical=verdicts,
-        num_incorrect_typical=counts - verdicts,
-        decode_error=best != i_true,
-    )
 
 
 def decode(
@@ -480,7 +465,6 @@ def decode(
     f: SensingEnsemble,
     params: ProblemParams,
     true_support: Optional[SupportSet] = None,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> DecodeOutcome:
     """Exhaustive typicality decoding over all C(N, K) candidate supports.
 
@@ -491,18 +475,15 @@ def decode(
     failure events, the ones decode_trials reports for a stack of one.
 
     Raises EnumerationBudgetError before any work when C(N, K) exceeds
-    enumeration_cap.
+    ENUMERATION_CAP.
     """
     n = params.n
-    i_true, counts, verdicts, best = _select(
-        f.matrices[None], y.measurements[None], params, true_support, enumeration_cap
-    )
+    events, best = _select(f.matrices[None], y.measurements[None], params, true_support)
     decoded = None
     if best[0] >= 0:
         decoded = SupportSet(_support_at(_prefix_tables(n, params.k), int(best[0])), n)
     if true_support is None:
         return DecodeOutcome(decoded)
-    events = _events(i_true, counts, verdicts, best)
     return DecodeOutcome(
         decoded=decoded,
         correct_typical=bool(events.correct_typical[0]),
@@ -522,7 +503,6 @@ def decode_trials(
     measurements: np.ndarray,
     params: ProblemParams,
     true_support: SupportSet,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> TrialEvents:
     """Decode a stack of T trials that share one true support, in one walk.
 
@@ -531,4 +511,4 @@ def decode_trials(
     MeasurementEnsemble(measurements[t]), and its events are the ones decode
     reports for it. trials_per_walk bounds the T worth stacking.
     """
-    return _events(*_select(matrices, measurements, params, true_support, enumeration_cap))
+    return _select(matrices, measurements, params, true_support)[0]

@@ -45,12 +45,7 @@ from scipy.optimize import isotonic_regression
 
 from . import __version__
 from . import bounds as _bounds
-from .decoder import (
-    DEFAULT_ENUMERATION_CAP,
-    check_enumeration_budget,
-    decode_trials,
-    trials_per_walk,
-)
+from .decoder import check_enumeration_budget, decode_trials, trials_per_walk
 from .ensemble import (
     AMPLITUDE_FIXED,
     ProblemParams,
@@ -195,7 +190,7 @@ def _signals(plan: TrialPlan, support: SupportSet, trials: int, block: int) -> n
     return np.tile(x.vectors, (trials // draws, 1))
 
 
-def _run_block(args: Tuple[TrialPlan, int, int]) -> np.ndarray:
+def _run_block(args: Tuple[TrialPlan, int]) -> np.ndarray:
     """Tally the four event counters, in RunResult's order, over one seed block.
 
     The block draws each role from its own stream and scores sub-blocks of
@@ -203,7 +198,7 @@ def _run_block(args: Tuple[TrialPlan, int, int]) -> np.ndarray:
     call per sampler with T*S vectors; matrices and noise are sequential
     standard-normal draws, so the sub-block size does not change them.
     """
-    plan, block, cap = args
+    plan, block = args
     p = plan.params
     trials = min(_TRIAL_BLOCK, plan.trials - block * _TRIAL_BLOCK)
     support = _pinned_support(plan)
@@ -222,7 +217,6 @@ def _run_block(args: Tuple[TrialPlan, int, int]) -> np.ndarray:
             y.measurements.reshape(t, p.s, p.m),
             p,
             support,
-            enumeration_cap=cap,
         )
         # the failure union, a decode error, the true support atypical, and
         # an incorrect support typical
@@ -254,18 +248,14 @@ def _workers(jobs: int) -> Iterator[Optional[ProcessPoolExecutor]]:
         yield pool
 
 
-def _run_plans(
-    plans: Sequence[TrialPlan],
-    enumeration_cap: int,
-    pool: Optional[ProcessPoolExecutor],
-) -> List[RunResult]:
+def _run_plans(plans: Sequence[TrialPlan], pool: Optional[ProcessPoolExecutor]) -> List[RunResult]:
     """The event-rate estimates of every plan, in plan order.
 
     Every (plan, seed block) unit of the run goes to one map: over the
     pool, or in this process when there is no pool or a single unit.
     Budgets are the caller's to check first. A crashed pool propagates.
     """
-    units = [(plan, block, enumeration_cap) for plan in plans for block in range(_blocks(plan))]
+    units = [(plan, block) for plan in plans for block in range(_blocks(plan))]
     run = map if pool is None or len(units) <= 1 else pool.map
     parts = run(_run_block, units)
     results = []
@@ -275,21 +265,18 @@ def _run_plans(
     return results
 
 
-def run_trials(
-    plan: TrialPlan,
-    jobs: int = 1,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> RunResult:
+def run_trials(plan: TrialPlan, jobs: int = 1) -> RunResult:
     """Estimate all four event rates under the given plan.
 
     jobs > 1 fans fixed-size trial blocks over worker processes; the block
     split and per-block streams are invariant to jobs, so output is
     bit-identical for any worker count. Raises EnumerationBudgetError
-    before running anything when the support enumeration is infeasible.
+    before running anything when C(N, K) exceeds the decoder's
+    ENUMERATION_CAP.
     """
-    check_enumeration_budget(plan.params, enumeration_cap)
+    check_enumeration_budget(plan.params)
     with _workers(jobs) as pool:
-        return _run_plans([plan], enumeration_cap, pool)[0]
+        return _run_plans([plan], pool)[0]
 
 
 # ---- Sweeps ---------------------------------------------------------------
@@ -335,29 +322,25 @@ MC_CSV_COLUMNS = [
 ]
 
 
-def sweep(
-    plans: Sequence[TrialPlan],
-    jobs: int = 1,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> List[SweepRow]:
+def sweep(plans: Sequence[TrialPlan], jobs: int = 1) -> List[SweepRow]:
     """Run every plan and join estimates with analytic bounds, one row per plan in order.
 
     All grid points run as one job over one worker pool (jobs > 1). A grid
-    point that cannot run (enumeration budget) or has no bound
-    (inadmissible slack, ...) becomes a row with the error recorded instead
-    of aborting the remaining points; run-level failures (a bad jobs count,
-    a crashed worker pool) propagate.
+    point that cannot run (C(N, K) over the decoder's ENUMERATION_CAP) or
+    has no bound (inadmissible slack, ...) becomes a row with the error
+    recorded instead of aborting the remaining points; run-level failures
+    (a bad jobs count, a crashed worker pool) propagate.
     """
     budget_errors: List[Optional[str]] = []
     for plan in plans:
         try:
-            check_enumeration_budget(plan.params, enumeration_cap)
+            check_enumeration_budget(plan.params)
             budget_errors.append(None)
         except EnumerationBudgetError as exc:  # recorded per-row by contract
             budget_errors.append(f"trials: {exc}")
     runnable = [plan for plan, err in zip(plans, budget_errors) if err is None]
     with _workers(jobs) as pool:
-        results = iter(_run_plans(runnable, enumeration_cap, pool))
+        results = iter(_run_plans(runnable, pool))
     rows: List[SweepRow] = []
     for plan, budget_error in zip(plans, budget_errors):
         errors = [budget_error] if budget_error else []
@@ -454,12 +437,7 @@ class MStarResult:
     evaluations: Dict[int, EstimateWithCI]
 
 
-def find_M_star(
-    plan: TrialPlan,
-    target: float,
-    jobs: int = 1,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> MStarResult:
+def find_M_star(plan: TrialPlan, target: float, jobs: int = 1) -> MStarResult:
     """Bisect for the smallest M in [K+1, N] with event failure <= target.
 
     Each probe runs plan with only M replaced (the M carried by plan.params
@@ -472,7 +450,7 @@ def find_M_star(
     if not 0.0 < target <= 1.0:
         raise InvalidRangeError(f"target must lie in (0, 1], got {target}")
 
-    check_enumeration_budget(plan.params, enumeration_cap)
+    check_enumeration_budget(plan.params)
     evaluations: Dict[int, EstimateWithCI] = {}
 
     def monotone_ok() -> bool:
@@ -484,7 +462,7 @@ def find_M_star(
 
         def probe(m: int) -> float:
             point = replace(plan, params=replace(plan.params, m=m))
-            evaluations[m] = _run_plans([point], enumeration_cap, pool)[0].event_failure
+            evaluations[m] = _run_plans([point], pool)[0].event_failure
             return evaluations[m].point
 
         lo, hi = plan.params.k + 1, plan.params.n

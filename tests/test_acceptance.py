@@ -28,7 +28,7 @@ from jsm2lab.ensemble import (
     sample_sparse_ensemble,
     sample_support,
 )
-from jsm2lab.montecarlo import TrialPlan, find_M_star, run_trials, trend_residual
+from jsm2lab.montecarlo import TrialPlan, find_M_star, run_trials, sweep, trend_residual
 from jsm2lab.quadstats import QuadFormSpec, laurent_massart_check, sample_z_correct
 from oracles import brute_force_decode, brute_force_stats
 
@@ -42,17 +42,22 @@ def _verdict(tag: str, ok: bool, detail: str) -> bool:
 
 def test_01_simulated_failure_never_exceeds_bound():
     # 10^4 trials on every (N, M, S, SNR) grid point; the clamped analytic
-    # bound plus the Wilson half-width must sit above each estimate
+    # bound plus the Wilson half-width must sit above each estimate. All 24
+    # points run as one sweep over one two-worker pool
     start = time.monotonic()
     grid = list(itertools.product((8, 12), (4, 6, 8), (1, 4), (10.0, 100.0)))
-    violations = []
-    for idx, (n, m, s, snr) in enumerate(grid):
-        params = ProblemParams(
-            n=n, k=2, m=m, s=s, sigma2=1.0 / snr, xmin2=1.0, rho=2.0
+    plans = [
+        TrialPlan(
+            params=ProblemParams(n=n, k=2, m=m, s=s, sigma2=1.0 / snr, xmin2=1.0, rho=2.0),
+            trials=10_000,
+            master_seed=ACCEPT_SEED + idx,
         )
-        plan = TrialPlan(params=params, trials=10_000, master_seed=ACCEPT_SEED + idx)
-        est = run_trials(plan).event_failure
-        ceiling = upper_bound_perr(params).upper_perr + est.half_width
+        for idx, (n, m, s, snr) in enumerate(grid)
+    ]
+    violations = []
+    for (n, m, s, snr), row in zip(grid, sweep(plans, jobs=2)):
+        est = row.rates.event_failure
+        ceiling = row.bound.upper_perr + est.half_width
         if est.point > ceiling:
             violations.append((n, m, s, snr, est.point, ceiling))
     elapsed = time.monotonic() - start

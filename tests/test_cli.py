@@ -21,7 +21,7 @@ class TestParseConfig:
         assert p.sigma2 == 1.0 and p.xmin2 == 1.0 and p.rho == 2.0
         # canonical slack from the defaulted overshoot factor
         assert p.delta == pytest.approx((1.0 - 2.0 / 8.0) * 1.0 / 2.0)
-        assert cfg.master_seed == DEFAULT_SEED
+        assert cfg.seed == DEFAULT_SEED
         assert cfg.jobs == 1
 
     def test_snr_sets_noise_floor(self):
@@ -324,7 +324,7 @@ class TestCommands:
             # an explicit 0 reaches the checks instead of meaning "default"
             (["--trials", "0"], 2),
             (["--jobs", "0"], 2),
-            (["--cap", "0"], 4),
+            (["--cap", "0"], 2),  # the budget is the decoder's constant, no flag
             (["--jobs", "-1"], 2),
             (["--rho", "inf"], 2),
             (["--seed", "-3"], 2),
@@ -354,7 +354,10 @@ class TestCommands:
             assert captured.err.startswith("error:") and captured.err.count("\n") == 1
             errors.append(captured.err)
         flag_error, file_error = errors
-        if flag_error.startswith("error: argument --"):
+        if flag_error.startswith("error: unrecognized arguments:"):
+            # a key that names no flag is refused at its file line
+            flag_error = f"error: {cfg}:{len(entries)}: unknown key {flags[0][2:]!r}\n"
+        elif flag_error.startswith("error: argument --"):
             # a value the parser refuses names the file line it came from
             flag_error = flag_error.replace("error:", f"error: {cfg}:{len(entries)}:", 1)
         assert file_error == flag_error
@@ -424,15 +427,28 @@ class TestCommands:
 
     def test_exit_code_4_on_budget(self, capsys):
         rc = main(
-            ["simulate", "--n", "40", "--k", "10", "--m", "20", "--s", "1",
-             "--trials", "4", "--cap", "1000"]
+            ["simulate", "--n", "40", "--k", "10", "--m", "20", "--s", "1", "--trials", "4"]
         )
         assert rc == 4
         assert "error:" in capsys.readouterr().err
 
-    def test_exit_code_1_on_unwritable_out(self, capsys):
-        rc = main(
-            ["bounds", "--n", "16", "--k", "2", "--m", "8", "--s", "2",
-             "--out", "/nonexistent-dir/x.csv"]
-        )
-        assert rc == 1
+    def test_exit_code_1_on_unwritable_out(self, tmp_path, monkeypatch, capsys):
+        # the output is opened before any work: no run, nothing on stdout
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started before --out was opened")
+
+        monkeypatch.setattr(jsm2lab.cli, "sweep", no_run)
+        (tmp_path / "point.csv.meta.json").mkdir()
+        point = ["--n", "16", "--k", "2", "--m", "8", "--s", "2"]
+        for argv in (
+            ["bounds"] + point + ["--out", "/nonexistent-dir/x.csv"],
+            ["sweep", "--n", "16", "--k", "2", "--s", "2", "--axis", "m", "--values", "3,5,7,9",
+             "--trials", "20000", "--out", "/nonexistent-dir/g.csv"],
+            # a directory in place of the CSV, and in place of its sidecar
+            ["simulate"] + point + ["--out", str(tmp_path)],
+            ["simulate"] + point + ["--out", str(tmp_path / "point.csv")],
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1

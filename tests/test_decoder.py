@@ -235,9 +235,11 @@ class TestDecode:
         assert out.decode_error is None
 
     def test_enumeration_cap(self):
-        sup, x, f, y, p = _instance(8, 2, 5, 1, 1.0, 4.0)
+        # C(64, 5) = 7,624,512 candidates are refused before any work
+        sup, x, f, y, p = _instance(64, 5, 6, 1, 1.0, 4.0)
+        assert math.comb(p.n, p.k) > decoder.ENUMERATION_CAP
         with pytest.raises(EnumerationBudgetError):
-            decode(y, f, p, enumeration_cap=10)
+            decode(y, f, p, true_support=sup)
 
     def test_shape_mismatch(self):
         sup, x, f, y, _ = _instance(6, 2, 4, 2, 1.0, 4.0)
@@ -304,10 +306,10 @@ class TestExactTies:
         first, second = decoder._lex_rank(levels, earlier), decoder._lex_rank(levels, later)
         for f, y in instances:
             chunk_of, value_of = {}, {}
-            for lo, value, _ in decoder._candidate_scores(f.matrices, y.measurements, p.k):
+            for lo, value, _ in decoder._trial_scores(f.matrices[None], y.measurements[None], p.k):
                 for i in (first, second):
                     if lo <= i < lo + value.shape[1]:
-                        chunk_of[i], value_of[i] = lo, value[:, i - lo].sum()
+                        chunk_of[i], value_of[i] = lo, value[0, i - lo]
             assert (chunk_of[first] != chunk_of[second]) == split
             assert value_of[first] == value_of[second]
             out = decode(y, f, p, true_support=support)

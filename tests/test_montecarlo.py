@@ -224,7 +224,7 @@ class TestBatchedBlock:
         _walk_trials(monkeypatch, params, 5)
         counts = np.zeros(4, dtype=np.int64)
         for block in (0, 1):
-            batched = montecarlo._run_block((plan, block, 10**6))
+            batched = montecarlo._run_block((plan, block))
             assert batched.tolist() == _per_trial_counts(plan, block).tolist()
             counts += batched
         # every event occurs, and not in every trial
@@ -234,7 +234,7 @@ class TestBatchedBlock:
         params = ProblemParams(n=16, k=2, m=5, s=4, sigma2=0.05, xmin2=1.0)
         plan = TrialPlan(params, trials=300, master_seed=8)
         assert 1 < trials_per_walk(params) < 300 - 256
-        batched = montecarlo._run_block((plan, 1, 10**6))
+        batched = montecarlo._run_block((plan, 1))
         assert batched.tolist() == _per_trial_counts(plan, 1).tolist()
 
     @pytest.mark.parametrize("signal", sorted(SIGNALS))
@@ -246,7 +246,7 @@ class TestBatchedBlock:
         counts = []
         for t in (1, 5, default):
             _walk_trials(monkeypatch, params, t)
-            counts.append(montecarlo._run_block((plan, 0, 10**6)).tolist())
+            counts.append(montecarlo._run_block((plan, 0)).tolist())
         assert counts[0] == counts[1] == counts[2]
         assert 0 < counts[0][0] < 200
 
@@ -285,7 +285,7 @@ class TestSweep:
                 master_seed=17,
             )
         )
-        rows = sweep(plans, enumeration_cap=10_000)
+        rows = sweep(plans)
         by_m = {r.plan.params.m: r for r in rows}
         assert by_m[4].error is None
         assert by_m[4].rates is not None

@@ -16,7 +16,7 @@ from jsm2lab.bounds import (
     t_value,
     upper_bound_perr,
 )
-from jsm2lab.decoder import _candidate_scores, decode, typicality_stat
+from jsm2lab.decoder import _trial_scores, decode, typicality_stat
 from jsm2lab.ensemble import (
     MeasurementEnsemble,
     ProblemParams,
@@ -212,10 +212,10 @@ def test_every_candidate_matches_dense_rows():
     y = rng.standard_normal((s, m))
     values = np.empty(math.comb(n, k))
     rank_ok = np.empty(values.size, dtype=bool)
-    for lo, value, ok in _candidate_scores(f, y, k):
-        # one row per vector: a candidate's value sums them, its rank needs all
-        values[lo : lo + value.shape[1]] = value.sum(axis=0)
-        rank_ok[lo : lo + value.shape[1]] = ok.all(axis=0)
+    for lo, value, ok in _trial_scores(f[None], y[None], k):
+        # one trial: a candidate's value sums its vectors, its rank needs all
+        values[lo : lo + value.shape[1]] = value[0]
+        rank_ok[lo : lo + value.shape[1]] = ok[0]
     # with an infinite slack a candidate is typical exactly when it has full rank
     rows = brute_force_stats(y, f, 1.0, k, math.inf)
     assert [r[3] for r in rows] == rank_ok.tolist()
