@@ -3,9 +3,11 @@
 Subcommands: bounds (closed-form report), simulate (one Monte Carlo point),
 sweep (grid of points to CSV), find-m (smallest sufficient M search), and
 verify (self-check suite of distributional and dominance properties).
-Flags can also be supplied through a flat key=value config file; explicit
-flags win over file entries. All randomness flows from --seed, which has a
-fixed documented default so unseeded runs are still reproducible.
+Each command takes only the flags it reads (_COMMAND_FLAGS), named in
+full, and refuses any other. The same flags can be supplied through a flat
+key=value config file, which may set only those keys; explicit flags win
+over file entries. All randomness flows from --seed, which has a fixed
+documented default so unseeded runs are still reproducible.
 """
 
 from __future__ import annotations
@@ -92,8 +94,7 @@ def _parse_values(value: str) -> Tuple[float, ...]:
     return values
 
 
-# Every flag with its argparse keywords. A config file may set exactly these
-# keys, and its entries go through the same subparser as the flags.
+# Every flag with its argparse keywords.
 _FLAGS: Dict[str, dict] = {
     "n": dict(type=int),
     "k": dict(type=int),
@@ -116,10 +117,23 @@ _FLAGS: Dict[str, dict] = {
     "fix-signal": dict(type=_parse_bool, default=True),
 }
 
+# The flags each command reads, besides --config. A command refuses every
+# other flag, and its config file may set exactly these keys.
+_POINT_FLAGS = ("n", "k", "m", "s", "snr", "sigma2", "xmin2", "rho", "delta", "out")
+_RUN_FLAGS = _POINT_FLAGS + ("trials", "seed", "jobs", "amplitude", "xmax", "fix-signal")
+_COMMAND_FLAGS: Dict[str, Tuple[str, ...]] = {
+    "bounds": _POINT_FLAGS,
+    "simulate": _RUN_FLAGS,
+    "sweep": _RUN_FLAGS + ("axis", "values"),
+    # the search sets M itself, from K+1 up
+    "find-m": tuple(key for key in _RUN_FLAGS if key != "m") + ("target",),
+    "verify": ("seed", "trials", "out"),
+}
 
-def _add_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    for key, kwargs in _FLAGS.items():
-        parser.add_argument(f"--{key}", **kwargs)
+
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for key in _COMMAND_FLAGS[command]:
+        parser.add_argument(f"--{key}", **_FLAGS[key])
     return parser
 
 
@@ -127,21 +141,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="jsm2lab",
         description="Support-set recovery experiments for jointly sparse ensembles.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMAND_HANDLERS:
-        _add_flags(subs.add_parser(name)).add_argument("--config")
+    for command in _COMMAND_FLAGS:
+        # a flag is named in full: no prefix of one stands for it
+        _add_flags(subs.add_parser(command, allow_abbrev=False), command).add_argument("--config")
     return parser
 
 
-def read_config_file(path: str) -> Dict[str, str]:
-    """Parse a flat key=value document mirroring the flag names.
+def read_config_file(path: str, command: str) -> Dict[str, str]:
+    """Parse a flat key=value document mirroring the flag names of one command.
 
-    Blank lines and '#' comments are ignored; keys may use '-' or '_'. Each
-    value goes through its flag's type and choices here, so that an unknown
-    key and a refused value are both reported with their path:line.
+    Blank lines and '#' comments are ignored; keys may use '-' or '_'. A
+    key must name a flag the command reads, and each value goes through
+    that flag's type and choices here, so that an unknown key and a refused
+    value are both reported with their path:line.
     """
-    values = _add_flags(_Parser(prog="jsm2lab"))
+    values = _add_flags(_Parser(prog="jsm2lab"), command)
     entries: Dict[str, str] = {}
     try:
         with open(path) as handle:
@@ -156,8 +173,8 @@ def read_config_file(path: str) -> Dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("_", "-") if key == "fix_signal" else key
-        if key not in _FLAGS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in _COMMAND_FLAGS[command]:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command}")
         try:
             values.parse_args([f"--{key}={value}"])
         except ConfigError as exc:
@@ -169,9 +186,9 @@ def read_config_file(path: str) -> Dict[str, str]:
 def parse_config(argv: Sequence[str]) -> argparse.Namespace:
     """Turn argv (plus any --config file) into the parsed flags of one command.
 
-    The namespace holds one attribute per flag, named as the flag (seed,
-    xmax, amplitude, fix_signal, ...), and params, the ProblemParams the
-    flags describe (None for verify).
+    The namespace holds one attribute per flag the command reads, named as
+    the flag (seed, xmax, amplitude, fix_signal, ...), and params, the
+    ProblemParams the flags describe (None for verify).
     """
     parser = _build_parser()
     argv = list(argv)
@@ -180,7 +197,7 @@ def parse_config(argv: Sequence[str]) -> argparse.Namespace:
         # File entries go right after the subcommand, so that a flag given
         # after them wins; the --key=value form keeps values such as -1 whole.
         at = argv.index(args.command) + 1
-        entries = [f"--{key}={value}" for key, value in read_config_file(args.config).items()]
+        entries = [f"--{k}={v}" for k, v in read_config_file(args.config, args.command).items()]
         args = parser.parse_args(argv[:at] + entries + argv[at:])
 
     command = args.command
@@ -205,16 +222,17 @@ def _sigma2_at(xmin2: float, snr: float) -> float:
 
 def _build_params(args: argparse.Namespace) -> ProblemParams:
     command = args.command
-    dims = {key: getattr(args, key) for key in ("n", "k", "m", "s")}
+    dims = {key: getattr(args, key) for key in ("n", "k", "m", "s") if hasattr(args, key)}
     if command == "sweep" and args.values and args.axis in dims and dims[args.axis] is None:
         # The swept dimension may be omitted; seed it from the first grid
         # value, which ProblemParams checks like any other dimension.
         dims[args.axis] = args.values[0]
-    if command == "find-m" and dims["m"] is None and dims["k"] is not None:
-        dims["m"] = dims["k"] + 1
     missing = [f"--{key}" for key, v in dims.items() if v is None]
     if missing:
         raise ConfigError(f"{command} requires {', '.join(missing)}")
+    if command == "find-m":
+        # find_M_star probes M from K+1 up; the point starts there
+        dims["m"] = dims["k"] + 1
 
     if args.snr is not None and args.sigma2 is not None:
         raise ConfigError("give either --snr or --sigma2, not both")

@@ -43,19 +43,34 @@ def _readonly(a: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
+def _is_whole(val) -> bool:
+    """Whether val is a whole number (3 and 3.0 are; 2.7, inf, nan and "3" are not)."""
+    try:
+        return int(val) == val
+    except (OverflowError, ValueError, TypeError):
+        return False
+
+
 @dataclass(frozen=True)
 class SupportSet:
     """A size-K index set inside ambient dimension N, stored sorted.
 
-    indices must be strictly increasing and lie in [0, ambient_dim).
+    indices must be whole numbers, strictly increasing and in [0, ambient_dim),
+    and ambient_dim a whole number.
     """
 
     indices: tuple
     ambient_dim: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(self.indices)
+        if not all(_is_whole(i) for i in idx):
+            raise InvalidParameterError(f"support indices must be whole numbers, got {idx}")
+        if not _is_whole(self.ambient_dim):
+            raise InvalidParameterError(f"ambient_dim must be a whole number, got {self.ambient_dim}")
+        idx = tuple(int(i) for i in idx)
         object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "ambient_dim", int(self.ambient_dim))
         if len(idx) < 1:
             raise InvalidDimensionError("support must contain at least one index")
         if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -171,11 +186,7 @@ class ProblemParams:
     def __post_init__(self):
         for name in ("n", "k", "m", "s"):
             val = getattr(self, name)
-            try:
-                whole = int(val) == val
-            except (OverflowError, ValueError):  # inf or nan
-                whole = False
-            if not whole or val < 1:
+            if not _is_whole(val) or val < 1:
                 raise InvalidParameterError(f"{name} must be a positive integer, got {val}")
             object.__setattr__(self, name, int(val))
         if not self.k < self.m <= self.n:

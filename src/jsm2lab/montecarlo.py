@@ -23,7 +23,8 @@ walk of the decoder per sub-block. Matrices and noise are sequential
 standard-normal draws, so the sub-block size does not change them;
 redrawn signals are drawn once per seed block. A run, whether one plan,
 a whole sweep or every probe of find_M_star, opens one worker pool
-(_workers) and maps all of its (plan, seed block) units over it, then sums
+(_workers) of min(jobs, seed blocks) processes, none when that is 1, and
+maps all of its (plan, seed block) units over it, then sums
 each plan's counters in plan order. A sweep returns one row per plan in
 the caller's order; the jsm2lab sweep command orders its grid.
 """
@@ -37,7 +38,7 @@ import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -233,18 +234,19 @@ def _run_block(args: Tuple[TrialPlan, int]) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _workers(jobs: int) -> Iterator[Optional[ProcessPoolExecutor]]:
-    """The worker pool of one run: None when jobs == 1, else a pool of jobs processes.
+def _workers(jobs: int, units: int) -> Iterator[Optional[ProcessPoolExecutor]]:
+    """The worker pool of a run of `units` work units: min(jobs, units) processes.
 
-    Raises InvalidRangeError for jobs < 1. A pool starts its processes on
-    first use, so a run that never maps over it starts none.
+    Yields None, and starts no process, when that minimum is at most 1.
+    Raises InvalidRangeError for jobs < 1, whatever the work.
     """
     if jobs < 1:
         raise InvalidRangeError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
+    workers = min(jobs, units)
+    if workers <= 1:
         yield None
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield pool
 
 
@@ -252,12 +254,11 @@ def _run_plans(plans: Sequence[TrialPlan], pool: Optional[ProcessPoolExecutor]) 
     """The event-rate estimates of every plan, in plan order.
 
     Every (plan, seed block) unit of the run goes to one map: over the
-    pool, or in this process when there is no pool or a single unit.
-    Budgets are the caller's to check first. A crashed pool propagates.
+    pool, or in this process when there is none. Budgets are the caller's
+    to check first. A crashed pool propagates.
     """
     units = [(plan, block) for plan in plans for block in range(_blocks(plan))]
-    run = map if pool is None or len(units) <= 1 else pool.map
-    parts = run(_run_block, units)
+    parts = (map if pool is None else pool.map)(_run_block, units)
     results = []
     for plan in plans:
         counts = sum(itertools.islice(parts, _blocks(plan)), np.zeros(4, dtype=np.int64))
@@ -275,7 +276,7 @@ def run_trials(plan: TrialPlan, jobs: int = 1) -> RunResult:
     ENUMERATION_CAP.
     """
     check_enumeration_budget(plan.params)
-    with _workers(jobs) as pool:
+    with _workers(jobs, _blocks(plan)) as pool:
         return _run_plans([plan], pool)[0]
 
 
@@ -339,7 +340,7 @@ def sweep(plans: Sequence[TrialPlan], jobs: int = 1) -> List[SweepRow]:
         except EnumerationBudgetError as exc:  # recorded per-row by contract
             budget_errors.append(f"trials: {exc}")
     runnable = [plan for plan, err in zip(plans, budget_errors) if err is None]
-    with _workers(jobs) as pool:
+    with _workers(jobs, sum(map(_blocks, runnable))) as pool:
         results = iter(_run_plans(runnable, pool))
     rows: List[SweepRow] = []
     for plan, budget_error in zip(plans, budget_errors):
@@ -387,7 +388,7 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
 
 
 def sweep_metadata(rows: Sequence[SweepRow], wall_time_s: float) -> dict:
-    """Sidecar payload recording seeds, library versions, and wall time."""
+    """Sidecar payload: the whole plan of every row, library versions, and wall time."""
     import scipy
 
     return {
@@ -400,20 +401,14 @@ def sweep_metadata(rows: Sequence[SweepRow], wall_time_s: float) -> dict:
             "scipy": scipy.__version__,
         },
         "interval": "wilson-95",
-        "rows": [
-            {
-                "master_seed": row.plan.master_seed,
-                "trials": row.plan.trials,
-                "n": row.plan.params.n,
-                "k": row.plan.params.k,
-                "m": row.plan.params.m,
-                "s": row.plan.params.s,
-                "amplitude_mode": row.plan.amplitude_mode,
-                "fix_signal": row.plan.fix_signal,
-            }
-            for row in rows
-        ],
+        "rows": [_plan_record(row.plan) for row in rows],
     }
+
+
+def _plan_record(plan: TrialPlan) -> dict:
+    """Every field of the plan, its ProblemParams flattened in, so a row rebuilds the plan."""
+    record = asdict(plan)
+    return {**record.pop("params"), **record}
 
 
 # ---- Measurement-count search ----------------------------------------------
@@ -457,8 +452,8 @@ def find_M_star(plan: TrialPlan, target: float, jobs: int = 1) -> MStarResult:
         pts = [evaluations[m].point for m in sorted(evaluations)]
         return all(a >= b for a, b in zip(pts, pts[1:]))
 
-    # one pool serves every probe of the search
-    with _workers(jobs) as pool:
+    # one pool serves every probe of the search; each probe has the plan's blocks
+    with _workers(jobs, _blocks(plan)) as pool:
 
         def probe(m: int) -> float:
             point = replace(plan, params=replace(plan.params, m=m))

@@ -1,13 +1,15 @@
 import json
 import math
+import shlex
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
 import jsm2lab.cli
 import jsm2lab.montecarlo
 from jsm2lab.bounds import BOUND_REPORT_CSV_HEADER, SUFFICIENCY_CSV_HEADER
-from jsm2lab.cli import DEFAULT_SEED, main, parse_config, read_config_file
+from jsm2lab.cli import DEFAULT_SEED, DEFAULT_TRIALS, main, parse_config, read_config_file
 from jsm2lab.errors import ConfigError
 from jsm2lab.montecarlo import MC_CSV_COLUMNS
 
@@ -21,8 +23,10 @@ class TestParseConfig:
         assert p.sigma2 == 1.0 and p.xmin2 == 1.0 and p.rho == 2.0
         # canonical slack from the defaulted overshoot factor
         assert p.delta == pytest.approx((1.0 - 2.0 / 8.0) * 1.0 / 2.0)
+        cfg = parse_config(["simulate", "--n", "16", "--k", "2", "--m", "8", "--s", "2"])
         assert cfg.seed == DEFAULT_SEED
         assert cfg.jobs == 1
+        assert cfg.trials == DEFAULT_TRIALS
 
     def test_snr_sets_noise_floor(self):
         cfg = parse_config(
@@ -114,12 +118,12 @@ class TestReadConfigFile:
     def test_comments_and_blanks(self, tmp_path):
         f = tmp_path / "a.cfg"
         f.write_text("\n# full line comment\nn = 8  # trailing\n\nk=2\n")
-        assert read_config_file(str(f)) == {"n": "8", "k": "2"}
+        assert read_config_file(str(f), "bounds") == {"n": "8", "k": "2"}
 
     def test_underscore_alias_for_fix_signal(self, tmp_path):
         f = tmp_path / "b.cfg"
         f.write_text("fix_signal = false\n")
-        assert read_config_file(str(f)) == {"fix-signal": "false"}
+        assert read_config_file(str(f), "simulate") == {"fix-signal": "false"}
 
     def test_unknown_key(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -127,17 +131,17 @@ class TestReadConfigFile:
         for text in ("banana = 3\n", "n = 8\nconfig = other.cfg\n"):
             f.write_text(text)
             with pytest.raises(ConfigError, match="unknown key"):
-                read_config_file(str(f))
+                read_config_file(str(f), "simulate")
 
     def test_bad_line(self, tmp_path):
         f = tmp_path / "d.cfg"
         f.write_text("just words\n")
         with pytest.raises(ConfigError, match="key=value"):
-            read_config_file(str(f))
+            read_config_file(str(f), "bounds")
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
-            read_config_file("/nonexistent/path.cfg")
+            read_config_file("/nonexistent/path.cfg", "bounds")
 
 
 class TestCommands:
@@ -332,6 +336,7 @@ class TestCommands:
             (["--n", "6.5"], 2),
             (["--snr", "ten"], 2),
             (["--amplitude", "gaussian"], 2),
+            # sweep's flags, which simulate does not read
             (["--axis", "q"], 2),
             (["--values", "1,x"], 2),
             (["--fix-signal", "maybe"], 2),
@@ -356,11 +361,60 @@ class TestCommands:
         flag_error, file_error = errors
         if flag_error.startswith("error: unrecognized arguments:"):
             # a key that names no flag is refused at its file line
-            flag_error = f"error: {cfg}:{len(entries)}: unknown key {flags[0][2:]!r}\n"
+            flag_error = f"error: {cfg}:{len(entries)}: unknown key {flags[0][2:]!r} for simulate\n"
         elif flag_error.startswith("error: argument --"):
             # a value the parser refuses names the file line it came from
             flag_error = flag_error.replace("error:", f"error: {cfg}:{len(entries)}:", 1)
         assert file_error == flag_error
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["bounds", "--n", "8", "--k", "2", "--m", "4", "--s", "1"], ["--trials", "0"]),
+            (["bounds", "--n", "8", "--k", "2", "--m", "4", "--s", "1"], ["--jobs", "0"]),
+            (["verify", "--trials", "10"], ["--rho", "inf"]),
+            (["verify", "--trials", "10"], ["--jobs", "-3"]),
+            (["simulate", "--n", "8", "--k", "2", "--m", "4", "--s", "1", "--trials", "10"],
+             ["--axis", "m", "--values", "3,4,5"]),
+            # find-m's M is always K+1, whatever M is given
+            (["find-m", "--n", "8", "--k", "2", "--s", "1", "--trials", "10", "--target", "0.5"],
+             ["--m", "15"]),
+            (["find-m", "--n", "8", "--k", "2", "--s", "1", "--trials", "10", "--target", "0.5"],
+             ["--m", "2"]),
+            (["sweep", "--n", "8", "--k", "2", "--s", "1", "--trials", "10", "--axis", "m",
+              "--values", "3,4"], ["--target", "0.5"]),
+            # a prefix of a flag does not stand for it
+            (["verify", "--trials", "10"], ["--s", "3"]),
+            (["simulate", "--n", "8", "--k", "2", "--m", "4", "--s", "1"], ["--tri", "10"]),
+        ],
+        ids=lambda v: v[0] if v[0][0] != "-" else "+".join(
+            f"{key[2:]}={value}" for key, value in zip(v[::2], v[1::2])
+        ),
+    )
+    def test_refuses_a_flag_the_command_does_not_read(self, argv, bad, tmp_path, capsys):
+        # refused alike as a flag and as a config-file entry
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key[2:]} = {value}\n" for key, value in zip(bad[::2], bad[1::2])))
+        expected = [
+            f"error: unrecognized arguments: {' '.join(bad)}\n",
+            f"error: {cfg}:1: unknown key {bad[0][2:]!r} for {argv[0]}\n",
+        ]
+        for run, error in zip((argv + bad, argv + ["--config", str(cfg)]), expected):
+            assert main(run) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == error
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        examples = [
+            shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("jsm2lab ")
+        ]
+        assert {argv[1] for argv in examples} == set(jsm2lab.cli._COMMAND_FLAGS)
+        for argv in examples:
+            assert parse_config(argv[1:]).command == argv[1]
 
     @pytest.mark.parametrize("snr", ["0", "-1", "inf", "nan"])
     def test_bounds_refuses_a_non_positive_or_non_finite_snr(self, snr, capsys):
@@ -390,6 +444,22 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [["--axis", "q"], ["--values", "1,x"]], ids=["axis", "values"])
+    def test_sweep_refuses_a_bad_grid_flag_value(self, flags, tmp_path, capsys):
+        # refused alike as a flag and as a config-file entry, which names its line
+        argv = ["sweep", "--n", "8", "--k", "2", "--s", "1", "--m", "4", "--trials", "10"]
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"{flags[0][2:]} = {flags[1]}\n")
+        errors = []
+        for run in (argv + flags, argv + ["--config", str(cfg)]):
+            assert main(run) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            errors.append(captured.err)
+        assert errors[0].startswith(f"error: argument {flags[0]}:")
+        assert errors[1] == errors[0].replace("error:", f"error: {cfg}:1:", 1)
 
     @pytest.mark.parametrize("value", ["inf", "nan", "3.7"])
     @pytest.mark.parametrize("m_flag", [["--m", "4"], []], ids=["m-given", "m-from-values"])

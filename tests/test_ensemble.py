@@ -47,6 +47,20 @@ class TestSupportSet:
         with pytest.raises(InvalidDimensionError):
             SupportSet((), 8)
 
+    @pytest.mark.parametrize(
+        "indices, ambient_dim",
+        [((0, 2.7), 5), ((0, math.nan), 5), ((0, math.inf), 5), (("0", 2), 5),
+         ((0, 2), 5.5), ((0, 2), math.inf), ((0, 2), math.nan)],
+    )
+    def test_rejects_non_whole_input(self, indices, ambient_dim):
+        with pytest.raises(InvalidParameterError, match="whole"):
+            SupportSet(indices, ambient_dim)
+
+    def test_whole_floats_become_ints(self):
+        s = SupportSet((0.0, np.int64(2)), 5.0)
+        assert s == SupportSet((0, 2), 5)
+        assert all(type(i) is int for i in (*s.indices, s.ambient_dim))
+
 
 class TestSampleSupport:
     def test_full_support_is_everything(self):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import math
 
@@ -9,6 +11,7 @@ from jsm2lab import decoder, montecarlo
 from jsm2lab.bounds import upper_bound_perr
 from jsm2lab.decoder import decode, trials_per_walk
 from jsm2lab.ensemble import (
+    AMPLITUDE_UNIFORM,
     MeasurementEnsemble,
     ProblemParams,
     SensingEnsemble,
@@ -338,6 +341,72 @@ class TestSweep:
         assert set(meta["versions"]) == {"jsm2lab", "numpy", "scipy"}
         assert meta["versions"]["jsm2lab"] == jsm2lab.__version__
         assert meta["interval"] == "wilson-95"
+
+
+    def test_sidecar_row_rebuilds_the_plan(self):
+        params = ProblemParams(
+            n=8, k=2, m=4, s=2, sigma2=0.25, xmin2=4.0, rho=3.0, delta_override=0.3
+        )
+        plan = TrialPlan(
+            params, trials=8, master_seed=5, amplitude_mode=AMPLITUDE_UNIFORM,
+            fix_signal=False, x_max=3.0,
+        )
+        rows = sweep([plan])
+        record = json.loads(json.dumps(sweep_metadata(rows, wall_time_s=0.0)))["rows"][0]
+        # the keys the sidecar rows always had stay
+        kept = {"master_seed", "trials", "n", "k", "m", "s", "amplitude_mode", "fix_signal"}
+        assert kept <= set(record)
+        point = {f.name: record.pop(f.name) for f in dataclasses.fields(ProblemParams)}
+        assert TrialPlan(ProblemParams(**point), **record) == rows[0].plan
+
+
+def _pool_plan(trials, params=ProblemParams(n=6, k=2, m=4, s=1, sigma2=1.0, xmin2=1.0)):
+    return TrialPlan(params, trials, master_seed=3)
+
+
+_OVER_BUDGET = ProblemParams(n=40, k=10, m=20, s=1, sigma2=1.0, xmin2=1.0)
+
+
+class TestWorkerPool:
+    """A run's pool has min(jobs, seed blocks) workers, and there is none for one."""
+
+    # 300 trials are two seed blocks, 100 one; a grid point over the budget has none
+    @pytest.mark.parametrize(
+        "run, work, workers",
+        [
+            (run_trials, _pool_plan(300), [2]),
+            (run_trials, _pool_plan(100), []),
+            (sweep, [_pool_plan(100)] * 2, [2]),
+            (sweep, [_pool_plan(100), _pool_plan(100, _OVER_BUDGET)], []),
+            (functools.partial(find_M_star, target=0.5), _pool_plan(300), [2]),
+            (functools.partial(find_M_star, target=0.5), _pool_plan(100), []),
+        ],
+        ids=[f"{run}-{blocks}" for run in ("run_trials", "sweep", "find_M_star") for blocks in (2, 1)],
+    )
+    def test_pool_size_follows_the_work(self, run, work, workers, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, units):
+                return map(fn, units)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        assert run(work, jobs=6) == run(work, jobs=1)
+        assert sizes == workers
+
+    @pytest.mark.parametrize("run, work", [(sweep, []), (run_trials, _pool_plan(100))])
+    def test_jobs_below_one_is_refused_whatever_the_work(self, run, work):
+        with pytest.raises(InvalidRangeError, match="jobs"):
+            run(work, jobs=0)
 
 
 class TestFindMStar:
