@@ -30,7 +30,15 @@ and y, with the prefix's span projected out, plus the running extremes of
 its pivots. Extending a prefix by one column costs one more deflation of
 the columns that follow. The walk goes depth-first over index tables cached
 per (N, K), in bounded chunks of sibling groups, and yields each leaf
-chunk's residual energies and rank flags per measurement vector.
+chunk's residual energies and rank flags per measurement vector. A chunk's
+parents are consecutive entries of the level above, so np.repeat by their
+child counts hands each child its parent's column, divisor, deflated y and
+pivot extremes; the one gather left picks each child's own column from its
+parent's siblings. A deflation writes its product into the parent columns
+repeated for it, and at a leaf below the root into the candidate's own
+columns, both temporaries nothing reads again; the root columns may be a
+view of the caller's matrices and are never written. Where a score falls
+in its chunk can move its last bit (see _SUPPORT_CHUNK).
 
 The walk does not care which trial a vector belongs to, so one walk scores
 a stack of T trials as T*S vectors. Its callers sum each trial's S vectors
@@ -66,7 +74,11 @@ RANK_TOL = 1e-10
 # Exhaustive enumeration refuses above this many candidate supports.
 ENUMERATION_CAP = 10**6
 
-# Candidate supports processed per vectorized block inside decode.
+# Candidate supports processed per vectorized block inside decode. Part of
+# the output bytes: einsum rounds the vector body and the scalar tail of its
+# inner loop differently, so a score's last bit depends on its place in a
+# chunk (at N=9, K=2 a chunk of 1 moves some scores in their last bit),
+# and a decision at the window's edge could flip with it.
 _SUPPORT_CHUNK = 16384
 
 # Vector-candidate scores one walk may hold: trials_per_walk stacks as many
@@ -149,11 +161,15 @@ def _pivots(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.sqrt(sq), np.where(sq > 0.0, sq, 1.0)
 
 
-def _deflate(cols: np.ndarray, v: np.ndarray, div: np.ndarray) -> None:
-    """One MGS step in place: remove from cols their components along v."""
+def _deflate(cols: np.ndarray, v: np.ndarray, div: np.ndarray, spent: bool = False) -> None:
+    """One MGS step in place: remove from cols their components along v.
+
+    A spent v is a temporary its caller is done with: it receives the
+    product v * coef instead of a new array.
+    """
     coef = np.einsum("i...,i...->...", v, cols)
     coef /= div
-    cols -= v * coef
+    cols -= np.multiply(v, coef, out=v if spent else None)
 
 
 def _rank_ok(pivot_min: np.ndarray, pivot_max: np.ndarray) -> np.ndarray:
@@ -314,47 +330,60 @@ def _prefix_tables(n: int, k: int) -> Tuple[_Level, ...]:
 
 
 def _chunks(off: np.ndarray, lo: int, hi: int):
-    """Cut the children of entries lo..hi-1 into runs of whole sibling groups.
+    """Cut entries lo..hi-1 into runs (p_lo, p_hi) of whole sibling groups.
 
-    Each run holds at most _SUPPORT_CHUNK children, or the children of a
-    single entry when that entry alone has more.
+    The children of a run are entries off[p_lo]:off[p_hi] of the next
+    level: at most _SUPPORT_CHUNK of them, or those of a single entry when
+    that entry alone has more. Runs without children are skipped.
     """
     while lo < hi:
         end = hi
         if off[hi] - off[lo] > _SUPPORT_CHUNK:
             end = max(int(np.searchsorted(off, off[lo] + _SUPPORT_CHUNK, side="right")) - 1, lo + 1)
         if off[end] > off[lo]:
-            yield int(off[lo]), int(off[end])
+            yield lo, end
         lo = end
 
 
-def _walk(levels, depth, lo, v, ry, pivot_min, pivot_max, pidx):
+def _walk(levels, depth, lo, v, ry, pivot_min, pivot_max, counts):
     """Residual energies and rank flags of the candidates below a block of prefixes.
 
-    The block is entries lo, lo+1, ... of level depth. v (m, s, b) holds,
-    for each prefix x, column x[-1] of every sensing matrix with the span of
-    x[:-1] projected out; its norms are the pivots |R_jj| of x[-1]. ry
-    (m, s, p), pivot_min and pivot_max (s, p) hold the deflated measurements
-    and the running pivot extremes of the parent prefixes, and pidx maps each
-    prefix of the block to its parent. Yields (first candidate index, values,
-    rank-ok flags) chunk by chunk in lexicographic order, both of shape
-    (s, candidates): one row per measurement vector.
+    The block is entries lo, lo+1, ... of level depth, the children of a run
+    of consecutive parent prefixes, and counts holds how many of them each
+    parent has (zero for some). v (m, s, b) holds, for each prefix x, column
+    x[-1] of every sensing matrix with the span of x[:-1] projected out; its
+    norms are the pivots |R_jj| of x[-1]. ry (m, s, p), pivot_min and
+    pivot_max (s, p) hold the deflated measurements and the running pivot
+    extremes of the parents, which np.repeat by counts lines up with their
+    children. v is never written at depth 1, where it may be a view of the
+    caller's matrices; below it, the leaf's v is spent on its one deflation.
+    Yields (first candidate index, values, rank-ok flags) chunk by chunk in
+    lexicographic order, both of shape (s, candidates): one row per
+    measurement vector.
     """
     norms, div = _pivots(v)
-    pivot_min = np.minimum(pivot_min.take(pidx, axis=1), norms)
-    pivot_max = np.maximum(pivot_max.take(pidx, axis=1), norms)
-    ry = ry.take(pidx, axis=2)
-    _deflate(ry, v, div)
-    if depth == len(levels):
+    pivot_min = np.repeat(pivot_min, counts, axis=1)
+    np.minimum(pivot_min, norms, out=pivot_min)
+    pivot_max = np.repeat(pivot_max, counts, axis=1)
+    np.maximum(pivot_max, norms, out=pivot_max)
+    ry = np.repeat(ry, counts, axis=2)
+    leaf = depth == len(levels)
+    _deflate(ry, v, div, spent=leaf and depth > 1)
+    if leaf:
         yield lo, _sq_norms(ry), _rank_ok(pivot_min, pivot_max)
         return
-    hi = lo + v.shape[2]
-    nxt = levels[depth]
-    for c_lo, c_hi in _chunks(levels[depth - 1].child_off, lo, hi):
-        cpar = nxt.par[c_lo:c_hi] - lo
-        child = v.take(nxt.unc[c_lo:c_hi] - lo, axis=2)
-        _deflate(child, v.take(cpar, axis=2), div.take(cpar, axis=1))
-        yield from _walk(levels, depth + 1, c_lo, child, ry, pivot_min, pivot_max, cpar)
+    off = levels[depth - 1].child_off
+    unc = levels[depth].unc
+    for p_lo, p_hi in _chunks(off, lo, lo + v.shape[2]):
+        c_lo, c_hi = int(off[p_lo]), int(off[p_hi])
+        counts = np.diff(off[p_lo : p_hi + 1])
+        parents = slice(p_lo - lo, p_hi - lo)
+        child = v.take(unc[c_lo:c_hi] - lo, axis=2)
+        rep = np.repeat(v[:, :, parents], counts, axis=2)
+        _deflate(child, rep, np.repeat(div[:, parents], counts, axis=1), spent=True)
+        del rep  # spent, and not held across the recursion
+        state = ry[:, :, parents], pivot_min[:, parents], pivot_max[:, parents]
+        yield from _walk(levels, depth + 1, c_lo, child, *state, counts)
 
 
 def _trial_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
@@ -367,13 +396,13 @@ def _trial_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
     """
     t, s, m, n = matrices.shape
     vectors = t * s
-    # level 1 is the raw columns; the empty prefix deflates nothing and has
-    # no pivots: running min +inf, running max 0
+    # level 1 is the raw columns, the n children of the empty prefix, which
+    # deflates nothing and has no pivots: running min +inf, running max 0
     ft = np.ascontiguousarray(matrices.reshape(vectors, m, n).transpose(1, 0, 2))
     root = measurements.reshape(vectors, m).T[:, :, None]
     pivot_min, pivot_max = np.full((vectors, 1), np.inf), np.zeros((vectors, 1))
     levels = _prefix_tables(n, k)
-    for lo, value, ok in _walk(levels, 1, 0, ft, root, pivot_min, pivot_max, np.zeros(n, dtype=np.intp)):
+    for lo, value, ok in _walk(levels, 1, 0, ft, root, pivot_min, pivot_max, [n]):
         c = value.shape[1]
         yield lo, value.reshape(t, s, c).sum(axis=1), ok.reshape(t, s, c).all(axis=1)
 

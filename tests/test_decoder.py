@@ -348,6 +348,25 @@ class TestDecodeTrials:
         with pytest.raises(InvalidDimensionError):
             decode_trials(f.matrices[None, :1], y.measurements[None], p, sup)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_walk_never_writes_its_inputs(self, k):
+        # with one vector the walk's root columns are a view of the matrices,
+        # and at K=1 they are also the candidates the leaf deflates by
+        sup, _, f, y, p = _instance(8, k, 5, 1, 0.5, 1.0)
+        matrices, measurements = np.array(f.matrices[None]), np.array(y.measurements[None])
+        decode_trials(matrices, measurements, p, sup)
+        np.testing.assert_array_equal(matrices, f.matrices[None])
+        np.testing.assert_array_equal(measurements, y.measurements[None])
+
+    def test_read_only_ensembles_at_one_column_and_one_vector(self):
+        sup, _, f, y, p = _instance(8, 1, 5, 1, 0.5, 1.0)
+        assert not f.matrices.flags.writeable
+        out = decode(y, f, p, true_support=sup)
+        events = decode_trials(np.array(f.matrices[None]), np.array(y.measurements[None]), p, sup)
+        assert out.correct_typical == events.correct_typical[0]
+        assert out.num_incorrect_typical == events.num_incorrect_typical[0]
+        assert out.decode_error == events.decode_error[0]
+
 
 class TestDefaultDelta:
     # the default slack (1/rho)(1 - K/M) xmin2 that ProblemParams.delta returns

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jsm2lab import decoder
 from jsm2lab.bounds import (
     fano_lower_perr,
     log_binom,
@@ -202,9 +203,13 @@ def test_typicality_stat_is_decode_test(inst):
     assert sum(st.typical for st in stats) == out.num_incorrect_typical + out.correct_typical
 
 
-def test_every_candidate_matches_dense_rows():
+@pytest.mark.parametrize("chunk", [decoder._SUPPORT_CHUNK, 1, 7], ids=["default", "1", "7"])
+def test_every_candidate_matches_dense_rows(monkeypatch, chunk):
     # N=10, K=4 walks three internal prefix levels; one duplicated column
-    # makes some blocks rank-deficient
+    # makes some blocks rank-deficient. The default chunk holds all 210
+    # candidates; 1 gives each sibling group a chunk of its own, and 7 cuts
+    # runs of parents among which some have no children
+    monkeypatch.setattr(decoder, "_SUPPORT_CHUNK", chunk)
     n, k, m, s = 10, 4, 6, 2
     rng = np.random.default_rng(2024)
     f = rng.standard_normal((s, m, n))

@@ -17,7 +17,9 @@ worker pool, a sweep over SNR whose grid values are given out of order,
 four simulate points, one with redrawn uniform amplitudes, and find-m
 with one and two workers), bounds at three points (one where the
 necessary measurement count is vacuous, one where the Corollary 2
-columns are NaN) and verify at two seeds, one at 200,000 samples.
+columns are NaN), verify at two seeds, one at 200,000 samples, and two
+simulate points at the decoder walk's edge depths: K=1, where the raw
+columns are the candidates, and K=5, with four levels of prefixes.
 
 tests/test_output_digests.py runs the same set in-process and compares
 it with tests/output_digests.txt; a change that moves output bytes on
@@ -90,6 +92,16 @@ RUNS: Tuple[Tuple[str, List[str], Optional[str]], ...] = (
     ("bounds-cor2-nan", "bounds --n 64 --k 4 --m 16 --s 2 --snr 0.5".split(), None),
     ("verify", "verify --seed 7 --trials 20000".split(), None),
     ("verify-seed11", "verify --seed 11 --trials 200000".split(), None),
+    (
+        "simulate-n12k1m3s1",
+        "simulate --n 12 --k 1 --m 3 --s 1 --snr 10 --trials 600 --seed 7".split(),
+        "simulate.csv",
+    ),
+    (
+        "simulate-n12k5m7s2",
+        "simulate --n 12 --k 5 --m 7 --s 2 --snr 10 --trials 300 --seed 7".split(),
+        "simulate.csv",
+    ),
 )
 
 
