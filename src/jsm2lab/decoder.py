@@ -81,6 +81,12 @@ ENUMERATION_CAP = 10**6
 # and a decision at the window's edge could flip with it.
 _SUPPORT_CHUNK = 16384
 
+# Scalars in one batch of residual_energies' MGS work array: 2^16 float64
+# (512 KB), so each deflation pass runs in L2 instead of streaming the whole
+# stack from memory. Not part of the output bytes: every block goes through
+# the same operations in the same order whatever the batch size.
+_RESIDUAL_BATCH_SCALARS = 1 << 16
+
 # Vector-candidate scores one walk may hold: trials_per_walk stacks as many
 # trials as keep T * S * C(N, K) within it. Small problems pay per call, not
 # per flop; larger stacks stop paying off once the walk's arrays leave cache.
@@ -185,6 +191,13 @@ def residual_energies(blocks: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, n
     Gram-Schmidt on the augmented matrix [block y] deflates every later
     column by each pivot in turn; the residual is the squared norm of the
     fully deflated y and the pivots are the deflated column norms |R_jj|.
+    An (m, 0) block spans nothing and has full column rank 0, so it leaves
+    ||y||^2 and passes the rank test.
+
+    The stack goes through one (m, k+1, b) work array in batches of b
+    blocks, about _RESIDUAL_BATCH_SCALARS (2^16) scalars each, so the
+    deflations run in cache. The batch size is not part of the bytes: each
+    block goes through the same operations in the same order in any batch.
     """
     blocks = np.asarray(blocks, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -194,17 +207,25 @@ def residual_energies(blocks: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, n
         raise InvalidDimensionError(
             f"measurement stack shape {ys.shape} does not match blocks {blocks.shape}"
         )
-    batch = int(np.prod(lead)) if lead else 1
-    work = np.empty((m, k + 1, batch))
-    work[:, :k, :] = blocks.reshape(batch, m, k).transpose(1, 2, 0)
-    work[:, k, :] = ys.reshape(batch, m).T
-    pivots = np.empty((k, batch))
-    for j in range(k):
-        pivots[j], div = _pivots(work[:, j])
-        for c in range(j + 1, k + 1):
-            _deflate(work[:, c], work[:, j], div)
-    resid = _sq_norms(work[:, k])
-    rank_ok = _rank_ok(pivots.min(axis=0), pivots.max(axis=0))
+    count = math.prod(lead)
+    blocks = blocks.reshape(count, m, k)
+    ys = ys.reshape(count, m)
+    b = max(1, min(_RESIDUAL_BATCH_SCALARS // max(1, m * (k + 1)), count))
+    work = np.empty((m, k + 1, b))
+    pivots = np.empty((k, b))
+    resid = np.empty(count)
+    rank_ok = np.empty(count, dtype=bool)
+    for lo in range(0, count, b):
+        hi = min(lo + b, count)
+        w, piv = work[..., : hi - lo], pivots[:, : hi - lo]
+        w[:, :k] = blocks[lo:hi].transpose(1, 2, 0)
+        w[:, k] = ys[lo:hi].T
+        for j in range(k):
+            piv[j], div = _pivots(w[:, j])
+            for c in range(j + 1, k + 1):
+                _deflate(w[:, c], w[:, j], div)
+        resid[lo:hi] = _sq_norms(w[:, k])
+        rank_ok[lo:hi] = _rank_ok(piv.min(axis=0, initial=np.inf), piv.max(axis=0, initial=0.0))
     return resid.reshape(lead), rank_ok.reshape(lead)
 
 

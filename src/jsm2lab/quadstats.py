@@ -90,7 +90,7 @@ def sample_quadform(spec: QuadFormSpec, trials: int, seed: Seed) -> np.ndarray:
     for lo in range(0, trials, step):
         hi = min(lo + step, trials)
         g = rng.standard_normal((hi - lo, lams.size))
-        out[lo:hi] = (g * g) @ lams
+        out[lo:hi] = np.square(g, out=g) @ lams
     return out
 
 
@@ -134,7 +134,8 @@ def sample_z_incorrect(
         hi = min(lo + step, trials)
         b = hi - lo
         blocks = rng.standard_normal((b, s, m, k))
-        ys = scale * rng.standard_normal((b, s, m))
+        ys = rng.standard_normal((b, s, m))
+        ys *= scale
         resid, rank_ok = residual_energies(blocks, ys)
         if not rank_ok.all():
             # Gaussian blocks are almost surely full rank; a failure here

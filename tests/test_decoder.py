@@ -24,6 +24,7 @@ from jsm2lab.errors import (
     InvalidRangeError,
     RankDeficientError,
 )
+from jsm2lab.quadstats import sample_z_incorrect
 from oracles import (
     brute_force_decode,
     brute_force_stats,
@@ -64,6 +65,12 @@ class TestProjectionResidual:
         with pytest.raises(RankDeficientError):
             projection_residual(np.ones((2, 3)), np.ones(2))
 
+    def test_empty_block_leaves_y(self):
+        # an (m, 0) block spans nothing and has full column rank 0
+        assert projection_residual(np.zeros((3, 0)), np.ones(3)) == 3.0
+        resid, rank_ok = decoder.residual_energies(np.zeros((2, 3, 0)), np.full((2, 3), 2.0))
+        assert resid.tolist() == [12.0, 12.0] and rank_ok.all()
+
     def test_idempotent(self):
         # projecting the projected residual changes nothing: the residual of
         # y already orthogonal to the span equals ||y||^2 minus nothing new
@@ -75,6 +82,34 @@ class TestProjectionResidual:
         once = projection_residual(f, y)
         again = projection_residual(f, resid_vec)
         assert again == pytest.approx(once, rel=1e-10)
+
+
+class TestResidualBatches:
+    # a block's bits must not depend on the batch it lands in
+    @pytest.fixture
+    def stack(self):
+        rng = np.random.default_rng(29)
+        blocks = rng.standard_normal((3, 1001, 6, 2))
+        flat = blocks.reshape(-1, 6, 2)
+        for i in (6, 7, 63, 64, 3002):  # batch edges at 7 and at 64
+            flat[i, :, 1] = flat[i, :, 0]
+        return blocks, rng.standard_normal((3, 1001, 6))
+
+    def test_bits_do_not_depend_on_the_batch(self, stack, monkeypatch):
+        blocks, ys = stack
+        default = decoder.residual_energies(blocks, ys)
+        assert default[1].reshape(-1).nonzero()[0].size == 3003 - 5
+        assert not default[1].reshape(-1)[[6, 7, 63, 64, 3002]].any()
+        for batch in (1, 7, 64):  # 3003 blocks: 64 leaves a partial last batch
+            monkeypatch.setattr(decoder, "_RESIDUAL_BATCH_SCALARS", batch * 6 * 3)
+            resid, rank_ok = decoder.residual_energies(blocks, ys)
+            assert np.array_equal(resid, default[0])
+            assert np.array_equal(rank_ok, default[1])
+
+    def test_sampler_bytes_do_not_depend_on_the_batch(self, monkeypatch):
+        draws = sample_z_incorrect([1.0, 3.0], 4, 2, trials=3000, seed=31)
+        monkeypatch.setattr(decoder, "_RESIDUAL_BATCH_SCALARS", 7 * 4 * 3)
+        assert sample_z_incorrect([1.0, 3.0], 4, 2, trials=3000, seed=31).tobytes() == draws.tobytes()
 
 
 def _instance(n, k, m, s, sigma2, xmin2, seeds=(1, 2, 3, 4), rho=2.0, **kw):

@@ -143,6 +143,14 @@ class TestSamplers:
         with pytest.raises(InvalidRangeError):
             sample_z_incorrect([], 6, 2, trials=8, seed=1)
 
+    def test_z_incorrect_without_columns(self):
+        # K = 0 projects nothing away: each energy keeps all M coordinates
+        alphas = [1.0, 2.0]
+        assert sample_z_incorrect(alphas, 4, 0, trials=5, seed=1).shape == (5,)
+        draws = sample_z_incorrect(alphas, 4, 0, trials=20_000, seed=923)
+        ok_mean, ok_var = _within(draws, *_moments(alphas, 4, 0))
+        assert ok_mean and ok_var
+
     def test_deterministic_in_seed(self):
         a = sample_z_incorrect([1.0, 2.0], 5, 1, trials=64, seed=920)
         b = sample_z_incorrect([1.0, 2.0], 5, 1, trials=64, seed=920)

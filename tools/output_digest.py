@@ -17,7 +17,9 @@ worker pool, a sweep over SNR whose grid values are given out of order,
 four simulate points, one with redrawn uniform amplitudes, and find-m
 with one and two workers), bounds at three points (one where the
 necessary measurement count is vacuous, one where the Corollary 2
-columns are NaN), verify at two seeds, one at 200,000 samples, and two
+columns are NaN), verify at three seeds (one at 200,000 samples, one at
+the 2,000-sample floor, where a sampler's whole stack is smaller than one
+residual batch), and two
 simulate points at the decoder walk's edge depths: K=1, where the raw
 columns are the candidates, and K=5, with four levels of prefixes.
 
@@ -92,6 +94,7 @@ RUNS: Tuple[Tuple[str, List[str], Optional[str]], ...] = (
     ("bounds-cor2-nan", "bounds --n 64 --k 4 --m 16 --s 2 --snr 0.5".split(), None),
     ("verify", "verify --seed 7 --trials 20000".split(), None),
     ("verify-seed11", "verify --seed 11 --trials 200000".split(), None),
+    ("verify-floor", "verify --seed 5 --trials 1".split(), None),
     (
         "simulate-n12k1m3s1",
         "simulate --n 12 --k 1 --m 3 --s 1 --snr 10 --trials 600 --seed 7".split(),
