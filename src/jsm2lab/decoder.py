@@ -82,9 +82,8 @@ ENUMERATION_CAP = 10**6
 _SUPPORT_CHUNK = 16384
 
 # Scalars in one batch of residual_energies' MGS work array: 2^16 float64
-# (512 KB), so each deflation pass runs in L2 instead of streaming the whole
-# stack from memory. Not part of the output bytes: every block goes through
-# the same operations in the same order whatever the batch size.
+# (512 KB) keep each deflation pass in L2 instead of streaming the whole
+# stack from memory. Not part of the output bytes.
 _RESIDUAL_BATCH_SCALARS = 1 << 16
 
 # Vector-candidate scores one walk may hold: trials_per_walk stacks as many

@@ -98,8 +98,7 @@ class TestResidualBatches:
     def test_bits_do_not_depend_on_the_batch(self, stack, monkeypatch):
         blocks, ys = stack
         default = decoder.residual_energies(blocks, ys)
-        assert default[1].reshape(-1).nonzero()[0].size == 3003 - 5
-        assert not default[1].reshape(-1)[[6, 7, 63, 64, 3002]].any()
+        assert np.flatnonzero(~default[1]).tolist() == [6, 7, 63, 64, 3002]
         for batch in (1, 7, 64):  # 3003 blocks: 64 leaves a partial last batch
             monkeypatch.setattr(decoder, "_RESIDUAL_BATCH_SCALARS", batch * 6 * 3)
             resid, rank_ok = decoder.residual_energies(blocks, ys)
