@@ -12,6 +12,8 @@ exponents scale like S(M-K) and overflow doubles immediately otherwise.
 Binomial coefficients go through log-gamma and the combined bound through
 log-sum-exp. Raw log values are preserved alongside clamped probabilities
 so dominance comparisons stay exact even where a bound exceeds one.
+scipy.special is imported inside log_binom, the one function that uses it,
+so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .ensemble import ProblemParams
 from .errors import (
@@ -61,6 +62,9 @@ def p_chernoff(x: float, beta: float) -> float:
 
 def log_binom(n: int, k: int) -> float:
     """log C(n, k) in nats via log-gamma."""
+    # imported on call, not with the package: scipy.special is slow to load
+    from scipy.special import gammaln
+
     if not 0 <= k <= n:
         raise InvalidRangeError(f"need 0 <= k <= n, got k={k}, n={n}")
     return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))

@@ -231,7 +231,10 @@ def _build_params(args: argparse.Namespace) -> ProblemParams:
     if missing:
         raise ConfigError(f"{command} requires {', '.join(missing)}")
     if command == "find-m":
-        # find_M_star probes M from K+1 up; the point starts there
+        # find_M_star probes M from K+1 up; the point starts there. No M
+        # comes from the user, so a K that leaves none is refused by K and N
+        if 1 <= dims["n"] <= dims["k"]:
+            raise ConfigError(f"find-m requires K < N, got K={dims['k']}, N={dims['n']}")
         dims["m"] = dims["k"] + 1
 
     if args.snr is not None and args.sigma2 is not None:

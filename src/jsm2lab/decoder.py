@@ -34,11 +34,12 @@ chunk's residual energies and rank flags per measurement vector. A chunk's
 parents are consecutive entries of the level above, so np.repeat by their
 child counts hands each child its parent's column, divisor, deflated y and
 pivot extremes; the one gather left picks each child's own column from its
-parent's siblings. A deflation writes its product into the parent columns
-repeated for it, and at a leaf below the root into the candidate's own
-columns, both temporaries nothing reads again; the root columns may be a
-view of the caller's matrices and are never written. Where a score falls
-in its chunk can move its last bit (see _SUPPORT_CHUNK).
+parent's siblings, and that gather index is all the tables keep of the leaf
+level, their largest (see _Level). A deflation writes its product into the
+parent columns repeated for it, and at a leaf below the root into the
+candidate's own columns, both temporaries nothing reads again; the root
+columns may be a view of the caller's matrices and are never written. Where
+a score falls in its chunk can move its last bit (see _SUPPORT_CHUNK).
 
 The walk does not care which trial a vector belongs to, so one walk scores
 a stack of T trials as T*S vectors. Its callers sum each trial's S vectors
@@ -315,19 +316,24 @@ class _Level:
     index; the pair is the length-l prefix p + (c,). col holds c, par the
     position of p in level l-1, unc the position in level l-1 of
     p[:-1] + (c,) (unused on level 1), and child_off the children of entry
-    i as the entries child_off[i]:child_off[i+1] of level l+1 (None on the
-    last level, whose entries are the candidate supports).
+    i as the entries child_off[i]:child_off[i+1] of level l+1. The last
+    level lists the candidate supports and has no child_off; below level 1
+    it holds unc only, the one table the walk reads there (_support_at
+    recovers a leaf's parent and column from the level above).
     """
 
-    col: np.ndarray
-    par: np.ndarray
+    col: Optional[np.ndarray]
+    par: Optional[np.ndarray]
     unc: np.ndarray
     child_off: Optional[np.ndarray]
 
 
 @lru_cache(maxsize=6)
 def _prefix_tables(n: int, k: int) -> Tuple[_Level, ...]:
-    """Levels 1..k of the prefix tree over size-k subsets of range(n)."""
+    """Levels 1..k of the prefix tree over size-k subsets of range(n).
+
+    Level k keeps only unc when k > 1 (see _Level).
+    """
     col = np.arange(n)
     par = np.zeros(n, dtype=np.intp)
     unc = par
@@ -338,9 +344,15 @@ def _prefix_tables(n: int, k: int) -> Tuple[_Level, ...]:
         off = np.zeros(col.size + 1, dtype=np.intp)
         np.cumsum(counts, out=off[1:])
         levels.append(_Level(col, par, unc, off))
-        par = np.repeat(np.arange(col.size), counts)
-        col = np.arange(off[-1]) - off[par] + col[par] + 1
-        unc = par + col - levels[-1].col[par]
+        # child j of entry p is column col[p] + 1 + (j - off[p]), and p's
+        # sibling with that column sits j - off[p] + 1 places after p
+        unc = np.repeat(np.arange(col.size) + 1 - off[:-1], counts)
+        unc += np.arange(off[-1])
+        if depth == k - 1:
+            col = par = None
+        else:
+            par = np.repeat(np.arange(col.size), counts)
+            col = np.arange(off[-1]) - off[par] + col[par] + 1
     levels.append(_Level(col, par, unc, None))
     for level in levels:
         for a in (level.col, level.par, level.unc, level.child_off):
@@ -480,8 +492,18 @@ def _select(
 
 
 def _support_at(levels: Tuple[_Level, ...], i: int) -> Tuple[int, ...]:
-    """The candidate support at position i of the last level."""
+    """The candidate support at position i of the last level.
+
+    Below level 1 the last level keeps no col or par: the leaf's parent is
+    the entry of the level above whose child_off run holds i, and its
+    column follows the parent's by i's place in that run plus one.
+    """
     out = []
+    if levels[-1].col is None:
+        levels, off = levels[:-1], levels[-2].child_off
+        p = int(np.searchsorted(off, i, side="right")) - 1
+        out.append(int(levels[-1].col[p]) + 1 + i - int(off[p]))
+        i = p
     for level in reversed(levels):
         out.append(int(level.col[i]))
         i = int(level.par[i])

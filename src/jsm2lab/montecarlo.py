@@ -27,6 +27,9 @@ a whole sweep or every probe of find_M_star, opens one worker pool
 maps all of its (plan, seed block) units over it, then sums
 each plan's counters in plan order. A sweep returns one row per plan in
 the caller's order; the jsm2lab sweep command orders its grid.
+scipy.optimize is imported inside trend_residual, the one function that
+uses it, so importing this module loads numpy only (the bounds import
+scipy.special when a plan asks for them).
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from . import __version__
 from . import bounds as _bounds
@@ -480,6 +482,9 @@ def trend_residual(values: Sequence[float]) -> float:
     Zero for already non-increasing data; used to test decay trends under
     Monte Carlo noise without demanding strict pointwise order.
     """
+    # imported on call, not with the package: scipy.optimize is slow to load
+    from scipy.optimize import isotonic_regression
+
     arr = np.asarray(values, dtype=float)
     if arr.size <= 1:
         return 0.0

@@ -11,7 +11,8 @@ form from the centering energies); quadform_mgf gives its moment
 generating function. Direct samplers and an empirical check of the
 exponential tail inequalities used by the closed-form bounds complete the
 module. The decoder and bound tests lean on these as independent
-references.
+references. scipy.stats is imported inside laurent_massart_check, the one
+function that uses it, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.stats import binom
 
 from .decoder import residual_energies
 from .errors import DomainError, InvalidRangeError
@@ -206,6 +206,9 @@ def laurent_massart_check(
     y = sample_quadform(QuadFormSpec(alphas[alphas > 0]), trials, seed) - alphas.sum()
     n_upper = int(np.count_nonzero(y >= upper_cut))
     n_lower = int(np.count_nonzero(y <= lower_cut))
+
+    # imported on call, not with the package: scipy.stats is slow to load
+    from scipy.stats import binom
 
     bound = math.exp(-x)
     # Largest exceedance count still consistent with a true rate <= bound.

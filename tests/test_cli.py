@@ -266,6 +266,23 @@ class TestCommands:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "n, k, message",
+        [
+            (3, 3, "find-m requires K < N, got K=3, N=3"),
+            (3, 4, "find-m requires K < N, got K=4, N=3"),
+            (0, 3, "n must be a positive integer, got 0"),
+        ],
+    )
+    def test_find_m_refuses_k_not_below_n(self, n, k, message, capsys):
+        # find-m sets M = K+1 itself, so the message names only K and N
+        rc = main(["find-m", "--n", str(n), "--k", str(k), "--s", "1", "--trials", "10",
+                   "--target", "0.1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_exit_code_2_on_inadmissible_delta(self, capsys):
         # the parser accepts any delta >= 0; the bound formulas refuse this one
         rc = main(

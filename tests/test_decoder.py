@@ -358,6 +358,28 @@ class TestExactTies:
         assert events.correct_typical.all()
 
 
+class TestPrefixTables:
+    @pytest.mark.parametrize("n, k", [(6, 1), (9, 2), (10, 4), (12, 5)])
+    def test_leaf_positions_round_trip(self, n, k):
+        levels = decoder._prefix_tables(n, k)
+        supports = list(itertools.combinations(range(n), k))
+        assert len(levels[-1].unc) == len(supports)
+        for i, support in enumerate(supports):
+            assert decoder._support_at(levels, i) == support
+            assert decoder._lex_rank(levels, support) == i
+
+    @pytest.mark.parametrize("n, k", [(9, 2), (10, 4), (12, 5)])
+    def test_unc_points_at_the_parents_sibling(self, n, k):
+        # entry p + (c,) of level l gathers column c from p[:-1] + (c,) of
+        # level l-1, the sibling of p that ends in c
+        levels = decoder._prefix_tables(n, k)
+        assert levels[-1].col is None and levels[-1].par is None
+        for depth in range(2, k + 1):
+            for i, unc in enumerate(levels[depth - 1].unc):
+                prefix = decoder._support_at(levels[:depth], i)
+                assert decoder._support_at(levels[: depth - 1], int(unc)) == prefix[:-2] + prefix[-1:]
+
+
 class TestDecodeTrials:
     def test_each_trial_gets_decodes_events(self):
         instances = [
