@@ -34,8 +34,8 @@ chunk's residual energies and rank flags per measurement vector. A chunk's
 parents are consecutive entries of the level above, so np.repeat by their
 child counts hands each child its parent's column, divisor, deflated y and
 pivot extremes; the one gather left picks each child's own column from its
-parent's siblings, and that gather index is all the tables keep of the leaf
-level, their largest (see _Level). A deflation writes its product into the
+parent's siblings, and that gather index and the child offsets are all
+the tables keep (see _Level). A deflation writes its product into the
 parent columns repeated for it, and at a leaf below the root into the
 candidate's own columns, both temporaries nothing reads again; the root
 columns may be a view of the caller's matrices and are never written. Where
@@ -313,49 +313,38 @@ class _Level:
 
     Level l lists every pair (p, c) of an extendable prefix p of length l-1
     (one that starts some size-k support) and a column c after p's last
-    index; the pair is the length-l prefix p + (c,). col holds c, par the
-    position of p in level l-1, unc the position in level l-1 of
-    p[:-1] + (c,) (unused on level 1), and child_off the children of entry
-    i as the entries child_off[i]:child_off[i+1] of level l+1. The last
-    level lists the candidate supports and has no child_off; below level 1
-    it holds unc only, the one table the walk reads there (_support_at
-    recovers a leaf's parent and column from the level above).
+    index; the pair is the length-l prefix p + (c,). unc holds the position
+    in level l-1 of p[:-1] + (c,) (unused on level 1), and child_off the
+    children of entry i as the entries child_off[i]:child_off[i+1] of level
+    l+1 (None on the last level, whose entries are the candidate supports).
+    These are the only tables the walk reads; an entry's prefix follows
+    from child_off alone (see _support_at).
     """
 
-    col: Optional[np.ndarray]
-    par: Optional[np.ndarray]
     unc: np.ndarray
     child_off: Optional[np.ndarray]
 
 
 @lru_cache(maxsize=6)
 def _prefix_tables(n: int, k: int) -> Tuple[_Level, ...]:
-    """Levels 1..k of the prefix tree over size-k subsets of range(n).
-
-    Level k keeps only unc when k > 1 (see _Level).
-    """
+    """Levels 1..k of the prefix tree over size-k subsets of range(n)."""
     col = np.arange(n)
-    par = np.zeros(n, dtype=np.intp)
-    unc = par
+    unc = np.zeros(n, dtype=np.intp)
     levels = []
     for depth in range(1, k):
         # an entry extends to a size-k support only if k - depth columns follow it
         counts = np.where(col <= n - k + depth - 1, n - 1 - col, 0)
         off = np.zeros(col.size + 1, dtype=np.intp)
         np.cumsum(counts, out=off[1:])
-        levels.append(_Level(col, par, unc, off))
+        levels.append(_Level(unc, off))
         # child j of entry p is column col[p] + 1 + (j - off[p]), and p's
         # sibling with that column sits j - off[p] + 1 places after p
         unc = np.repeat(np.arange(col.size) + 1 - off[:-1], counts)
         unc += np.arange(off[-1])
-        if depth == k - 1:
-            col = par = None
-        else:
-            par = np.repeat(np.arange(col.size), counts)
-            col = np.arange(off[-1]) - off[par] + col[par] + 1
-    levels.append(_Level(col, par, unc, None))
+        col = col[unc]
+    levels.append(_Level(unc, None))
     for level in levels:
-        for a in (level.col, level.par, level.unc, level.child_off):
+        for a in (level.unc, level.child_off):
             if a is not None:
                 a.setflags(write=False)
     return tuple(levels)
@@ -492,22 +481,20 @@ def _select(
 
 
 def _support_at(levels: Tuple[_Level, ...], i: int) -> Tuple[int, ...]:
-    """The candidate support at position i of the last level.
+    """The candidate support at position i of the last level, _lex_rank's inverse.
 
-    Below level 1 the last level keeps no col or par: the leaf's parent is
-    the entry of the level above whose child_off run holds i, and its
-    column follows the parent's by i's place in that run plus one.
+    An entry's parent is the entry of the level above whose child_off run
+    holds it, and its column follows the parent's by its place in that run
+    plus one; level 1 lists column c at position c.
     """
-    out = []
-    if levels[-1].col is None:
-        levels, off = levels[:-1], levels[-2].child_off
-        p = int(np.searchsorted(off, i, side="right")) - 1
-        out.append(int(levels[-1].col[p]) + 1 + i - int(off[p]))
-        i = p
-    for level in reversed(levels):
-        out.append(int(level.col[i]))
-        i = int(level.par[i])
-    return tuple(reversed(out))
+    path = [i]
+    for level in reversed(levels[:-1]):
+        path.append(int(np.searchsorted(level.child_off, path[-1], side="right")) - 1)
+    path.reverse()
+    out = [path[0]]
+    for level, p, i in zip(levels, path, path[1:]):
+        out.append(out[-1] + 1 + i - int(level.child_off[p]))
+    return tuple(out)
 
 
 def _lex_rank(levels: Tuple[_Level, ...], indices: Tuple[int, ...]) -> int:

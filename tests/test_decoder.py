@@ -373,7 +373,6 @@ class TestPrefixTables:
         # entry p + (c,) of level l gathers column c from p[:-1] + (c,) of
         # level l-1, the sibling of p that ends in c
         levels = decoder._prefix_tables(n, k)
-        assert levels[-1].col is None and levels[-1].par is None
         for depth in range(2, k + 1):
             for i, unc in enumerate(levels[depth - 1].unc):
                 prefix = decoder._support_at(levels[:depth], i)
