@@ -22,7 +22,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +94,31 @@ def _check_delta(delta: float, k: int, m: int, floor_sq: float) -> None:
 # ---- Reports -------------------------------------------------------------
 
 
+def csv_cells(obj, columns: Sequence[Tuple[str, str]]) -> List[str]:
+    """The CSV cells of obj under (column, attribute path) pairs, in their order.
+
+    A path is dotted ("params.n"), and its cell is empty when a step of it
+    is None. A string is written as it is, an int in decimal, and any other
+    number as the repr of its float, which reads back exactly.
+    """
+    cells = []
+    for _, path in columns:
+        value = obj
+        for name in path.split("."):
+            value = None if value is None else getattr(value, name)
+        if value is None or isinstance(value, str):
+            cells.append(value or "")
+        else:
+            cells.append(str(value) if isinstance(value, int) else repr(float(value)))
+    return cells
+
+
+# (CSV column, attribute path) of the parameter point both reports start with
+_POINT_COLUMNS = tuple(
+    (name, f"params.{name}") for name in ("n", "k", "m", "s", "sigma2", "xmin2", "rho")
+)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Every closed-form quantity attached to one parameter point.
@@ -131,36 +156,19 @@ class BoundReport:
         return min(1.0, math.exp(self.log_upper_perr))
 
     def csv_row(self) -> str:
-        p = self.params
-        cells = [
-            str(p.n),
-            str(p.k),
-            str(p.m),
-            str(p.s),
-            repr(float(p.sigma2)),
-            repr(float(p.xmin2)),
-            repr(float(p.rho)),
-            repr(self.d1),
-            repr(self.t),
-            repr(self.d2_alpha_star),
-            repr(self.log_p_d1),
-            repr(self.log_p_d2),
-            repr(self.log_upper_perr),
-            repr(self.lower_perr),
-            repr(self.mu_I),
-            repr(self.mu_J),
-            repr(self.log_p1_exp),
-            repr(self.log_p2_exp),
-            repr(self.alpha_star),
-            repr(self.upper_perr),
-        ]
-        return ",".join(cells)
+        return ",".join(csv_cells(self, _BOUND_COLUMNS))
 
 
-BOUND_REPORT_CSV_HEADER = (
-    "n,k,m,s,sigma2,xmin2,rho,d1,t,d2,log_p_d1,log_p_d2,log_upper,lower,"
-    "mu_i,mu_j,log_p1_exp,log_p2_exp,alpha_star,upper_clamped"
+# (CSV column, attribute) of every cell of a BoundReport row, in order
+_BOUND_COLUMNS = _POINT_COLUMNS + (
+    ("d1", "d1"), ("t", "t"), ("d2", "d2_alpha_star"),
+    ("log_p_d1", "log_p_d1"), ("log_p_d2", "log_p_d2"),
+    ("log_upper", "log_upper_perr"), ("lower", "lower_perr"),
+    ("mu_i", "mu_I"), ("mu_j", "mu_J"),
+    ("log_p1_exp", "log_p1_exp"), ("log_p2_exp", "log_p2_exp"),
+    ("alpha_star", "alpha_star"), ("upper_clamped", "upper_perr"),
 )
+BOUND_REPORT_CSV_HEADER = ",".join(column for column, _ in _BOUND_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -188,35 +196,19 @@ class SufficiencyReport:
     M_necessary: float
 
     def csv_row(self) -> str:
-        p = self.params
-        cells = [
-            str(p.n),
-            str(p.k),
-            str(p.m),
-            str(p.s),
-            repr(float(p.sigma2)),
-            repr(float(p.xmin2)),
-            repr(float(p.rho)),
-            repr(self.nu1),
-            repr(self.nu2),
-            repr(self.M_suff_linear),
-            repr(self.M_suff_sublinear),
-            repr(self.M_suff_cor1_linear),
-            repr(self.M_suff_cor1_sublinear),
-            repr(self.M_suff_cor2_linear),
-            repr(self.M_suff_cor2_sublinear),
-            repr(self.snr_threshold_cor2),
-            repr(self.S_cor3),
-            repr(self.M_necessary),
-        ]
-        return ",".join(cells)
+        return ",".join(csv_cells(self, _SUFFICIENCY_COLUMNS))
 
 
-SUFFICIENCY_CSV_HEADER = (
-    "n,k,m,s,sigma2,xmin2,rho,nu1,nu2,m_linear,m_sublinear,m_cor1_linear,"
-    "m_cor1_sublinear,m_cor2_linear,m_cor2_sublinear,snr_threshold_cor2,"
-    "s_cor3,m_necessary"
+# (CSV column, attribute) of every cell of a SufficiencyReport row, in order
+_SUFFICIENCY_COLUMNS = _POINT_COLUMNS + (
+    ("nu1", "nu1"), ("nu2", "nu2"),
+    ("m_linear", "M_suff_linear"), ("m_sublinear", "M_suff_sublinear"),
+    ("m_cor1_linear", "M_suff_cor1_linear"), ("m_cor1_sublinear", "M_suff_cor1_sublinear"),
+    ("m_cor2_linear", "M_suff_cor2_linear"), ("m_cor2_sublinear", "M_suff_cor2_sublinear"),
+    ("snr_threshold_cor2", "snr_threshold_cor2"), ("s_cor3", "S_cor3"),
+    ("m_necessary", "M_necessary"),
 )
+SUFFICIENCY_CSV_HEADER = ",".join(column for column, _ in _SUFFICIENCY_COLUMNS)
 
 
 # ---- Achievability -------------------------------------------------------

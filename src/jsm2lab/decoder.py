@@ -29,17 +29,18 @@ each prefix is deflated once: its state is the columns after its last index
 and y, with the prefix's span projected out, plus the running extremes of
 its pivots. Extending a prefix by one column costs one more deflation of
 the columns that follow. The walk goes depth-first over index tables cached
-per (N, K), in bounded chunks of sibling groups, and yields each leaf
-chunk's residual energies and rank flags per measurement vector. A chunk's
-parents are consecutive entries of the level above, so np.repeat by their
-child counts hands each child its parent's column, divisor, deflated y and
-pivot extremes; the one gather left picks each child's own column from its
-parent's siblings, and that gather index and the child offsets are all
-the tables keep (see _Level). A deflation writes its product into the
-parent columns repeated for it, and at a leaf below the root into the
-candidate's own columns, both temporaries nothing reads again; the root
-columns may be a view of the caller's matrices and are never written. Where
-a score falls in its chunk can move its last bit (see _SUPPORT_CHUNK).
+per (N, K), in chunks of sibling groups of at most _WALK_SCORES scores,
+and yields each leaf chunk's residual energies and rank flags per
+measurement vector. A chunk's parents are consecutive entries of the level
+above, so np.repeat by their child counts hands each child its parent's
+column, divisor, deflated y and pivot extremes; the one gather left picks
+each child's own column from its parent's siblings, and that gather index
+and the child offsets are all the tables keep (see _prefix_tables). A
+deflation writes its product into the parent columns repeated for it, and
+at a leaf below the root into the candidate's own columns, both
+temporaries nothing reads again; the root columns may be a view of the
+caller's matrices and are never written. Where a score falls in its chunk
+can move its last bit only in a single-vector walk (see _WALK_SCORES).
 
 The walk does not care which trial a vector belongs to, so one walk scores
 a stack of T trials as T*S vectors. Its callers sum each trial's S vectors
@@ -75,21 +76,19 @@ RANK_TOL = 1e-10
 # Exhaustive enumeration refuses above this many candidate supports.
 ENUMERATION_CAP = 10**6
 
-# Candidate supports processed per vectorized block inside decode. Part of
-# the output bytes: einsum rounds the vector body and the scalar tail of its
-# inner loop differently, so a score's last bit depends on its place in a
-# chunk (at N=9, K=2 a chunk of 1 moves some scores in their last bit),
-# and a decision at the window's edge could flip with it.
-_SUPPORT_CHUNK = 16384
-
 # Scalars in one batch of residual_energies' MGS work array: 2^16 float64
 # (512 KB) keep each deflation pass in L2 instead of streaming the whole
 # stack from memory. Not part of the output bytes.
 _RESIDUAL_BATCH_SCALARS = 1 << 16
 
-# Vector-candidate scores one walk may hold: trials_per_walk stacks as many
-# trials as keep T * S * C(N, K) within it. Small problems pay per call, not
-# per flop; larger stacks stop paying off once the walk's arrays leave cache.
+# Vector-candidate scores one walk holds at a time: trials_per_walk stacks as
+# many trials as keep T * S * C(N, K) within it, and the walk cuts each level
+# into chunks of _WALK_SCORES // (T * S) candidates, one at the least. Small
+# problems pay per call, not per flop; larger arrays stop paying off once
+# they leave cache. Part of the output bytes only when T * S = 1: a
+# one-output einsum rounds the vector body and the scalar tail of its inner
+# loop differently, so a score's last bit depends on its place in a chunk
+# (at N=9, K=2 a chunk of 1 moves some); more vectors sum row by row.
 _WALK_SCORES = 16384
 
 
@@ -307,66 +306,60 @@ def typicality_stat(
     return TypicalityStat(value, value - center, threshold, bool(ok[0, 0]))
 
 
-@dataclass(frozen=True)
-class _Level:
-    """Index tables of one level of the prefix tree, in lexicographic order.
-
-    Level l lists every pair (p, c) of an extendable prefix p of length l-1
-    (one that starts some size-k support) and a column c after p's last
-    index; the pair is the length-l prefix p + (c,). unc holds the position
-    in level l-1 of p[:-1] + (c,) (unused on level 1), and child_off the
-    children of entry i as the entries child_off[i]:child_off[i+1] of level
-    l+1 (None on the last level, whose entries are the candidate supports).
-    These are the only tables the walk reads; an entry's prefix follows
-    from child_off alone (see _support_at).
-    """
-
-    unc: np.ndarray
-    child_off: Optional[np.ndarray]
+# One (child_off, unc) pair per non-leaf level of the prefix tree
+_Tables = Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 
 @lru_cache(maxsize=6)
-def _prefix_tables(n: int, k: int) -> Tuple[_Level, ...]:
-    """Levels 1..k of the prefix tree over size-k subsets of range(n)."""
+def _prefix_tables(n: int, k: int) -> _Tables:
+    """Index tables of the prefix tree over size-k subsets of range(n).
+
+    Level l lists, in lexicographic order, every pair (p, c) of an
+    extendable prefix p of length l-1 (one that starts some size-k support)
+    and a column c after p's last index; the pair is the length-l prefix
+    p + (c,). Level 1 lists column c at position c, and level k the
+    candidate supports. Each level l < k gets one pair (child_off, unc):
+    the children of entry i are entries child_off[i]:child_off[i+1] of
+    level l+1, and unc[j] is the position in level l of p[:-1] + (c,) for
+    child j = p + (c,), the sibling of p whose column child j gathers.
+    These are the only tables the walk reads; an entry's prefix follows
+    from child_off alone (see _support_at).
+    """
     col = np.arange(n)
-    unc = np.zeros(n, dtype=np.intp)
-    levels = []
+    tables = []
     for depth in range(1, k):
         # an entry extends to a size-k support only if k - depth columns follow it
         counts = np.where(col <= n - k + depth - 1, n - 1 - col, 0)
         off = np.zeros(col.size + 1, dtype=np.intp)
         np.cumsum(counts, out=off[1:])
-        levels.append(_Level(unc, off))
         # child j of entry p is column col[p] + 1 + (j - off[p]), and p's
         # sibling with that column sits j - off[p] + 1 places after p
         unc = np.repeat(np.arange(col.size) + 1 - off[:-1], counts)
         unc += np.arange(off[-1])
         col = col[unc]
-    levels.append(_Level(unc, None))
-    for level in levels:
-        for a in (level.unc, level.child_off):
-            if a is not None:
-                a.setflags(write=False)
-    return tuple(levels)
+        off.setflags(write=False)
+        unc.setflags(write=False)
+        tables.append((off, unc))
+    return tuple(tables)
 
 
-def _chunks(off: np.ndarray, lo: int, hi: int):
+def _chunks(off: np.ndarray, lo: int, hi: int, size: int):
     """Cut entries lo..hi-1 into runs (p_lo, p_hi) of whole sibling groups.
 
     The children of a run are entries off[p_lo]:off[p_hi] of the next
-    level: at most _SUPPORT_CHUNK of them, or those of a single entry when
-    that entry alone has more. Runs without children are skipped.
+    level: at most size of them, or those of a single entry when that
+    entry alone has more. Runs without children are skipped.
     """
     while lo < hi:
         end = hi
-        if off[hi] - off[lo] > _SUPPORT_CHUNK:
-            end = max(int(np.searchsorted(off, off[lo] + _SUPPORT_CHUNK, side="right")) - 1, lo + 1)
+        if off[hi] - off[lo] > size:
+            end = max(int(np.searchsorted(off, off[lo] + size, side="right")) - 1, lo + 1)
         if off[end] > off[lo]:
             yield lo, end
         lo = end
 
 
-def _walk(levels, depth, lo, v, ry, pivot_min, pivot_max, counts):
+def _walk(tables, depth, lo, v, ry, pivot_min, pivot_max, counts):
     """Residual energies and rank flags of the candidates below a block of prefixes.
 
     The block is entries lo, lo+1, ... of level depth, the children of a run
@@ -388,14 +381,14 @@ def _walk(levels, depth, lo, v, ry, pivot_min, pivot_max, counts):
     pivot_max = np.repeat(pivot_max, counts, axis=1)
     np.maximum(pivot_max, norms, out=pivot_max)
     ry = np.repeat(ry, counts, axis=2)
-    leaf = depth == len(levels)
+    leaf = depth > len(tables)
     _deflate(ry, v, div, spent=leaf and depth > 1)
     if leaf:
         yield lo, _sq_norms(ry), _rank_ok(pivot_min, pivot_max)
         return
-    off = levels[depth - 1].child_off
-    unc = levels[depth].unc
-    for p_lo, p_hi in _chunks(off, lo, lo + v.shape[2]):
+    off, unc = tables[depth - 1]
+    size = max(1, _WALK_SCORES // v.shape[1])
+    for p_lo, p_hi in _chunks(off, lo, lo + v.shape[2], size):
         c_lo, c_hi = int(off[p_lo]), int(off[p_hi])
         counts = np.diff(off[p_lo : p_hi + 1])
         parents = slice(p_lo - lo, p_hi - lo)
@@ -404,7 +397,7 @@ def _walk(levels, depth, lo, v, ry, pivot_min, pivot_max, counts):
         _deflate(child, rep, np.repeat(div[:, parents], counts, axis=1), spent=True)
         del rep  # spent, and not held across the recursion
         state = ry[:, :, parents], pivot_min[:, parents], pivot_max[:, parents]
-        yield from _walk(levels, depth + 1, c_lo, child, *state, counts)
+        yield from _walk(tables, depth + 1, c_lo, child, *state, counts)
 
 
 def _trial_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
@@ -422,8 +415,8 @@ def _trial_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
     ft = np.ascontiguousarray(matrices.reshape(vectors, m, n).transpose(1, 0, 2))
     root = measurements.reshape(vectors, m).T[:, :, None]
     pivot_min, pivot_max = np.full((vectors, 1), np.inf), np.zeros((vectors, 1))
-    levels = _prefix_tables(n, k)
-    for lo, value, ok in _walk(levels, 1, 0, ft, root, pivot_min, pivot_max, [n]):
+    tables = _prefix_tables(n, k)
+    for lo, value, ok in _walk(tables, 1, 0, ft, root, pivot_min, pivot_max, [n]):
         c = value.shape[1]
         yield lo, value.reshape(t, s, c).sum(axis=1), ok.reshape(t, s, c).all(axis=1)
 
@@ -480,7 +473,7 @@ def _select(
     return events, best
 
 
-def _support_at(levels: Tuple[_Level, ...], i: int) -> Tuple[int, ...]:
+def _support_at(tables: _Tables, i: int) -> Tuple[int, ...]:
     """The candidate support at position i of the last level, _lex_rank's inverse.
 
     An entry's parent is the entry of the level above whose child_off run
@@ -488,24 +481,24 @@ def _support_at(levels: Tuple[_Level, ...], i: int) -> Tuple[int, ...]:
     plus one; level 1 lists column c at position c.
     """
     path = [i]
-    for level in reversed(levels[:-1]):
-        path.append(int(np.searchsorted(level.child_off, path[-1], side="right")) - 1)
+    for off, _ in reversed(tables):
+        path.append(int(np.searchsorted(off, path[-1], side="right")) - 1)
     path.reverse()
     out = [path[0]]
-    for level, p, i in zip(levels, path, path[1:]):
-        out.append(out[-1] + 1 + i - int(level.child_off[p]))
+    for (off, _), p, i in zip(tables, path, path[1:]):
+        out.append(out[-1] + 1 + i - int(off[p]))
     return tuple(out)
 
 
-def _lex_rank(levels: Tuple[_Level, ...], indices: Tuple[int, ...]) -> int:
+def _lex_rank(tables: _Tables, indices: Tuple[int, ...]) -> int:
     """Position of a sorted size-k index tuple in the last level, _support_at's inverse.
 
     Level 1 lists column c at position c, and the children of a prefix
     ending in column p list columns p+1, p+2, ... from its child_off entry.
     """
     i = indices[0]
-    for level, prev, col in zip(levels, indices, indices[1:]):
-        i = int(level.child_off[i]) + col - prev - 1
+    for (off, _), prev, col in zip(tables, indices, indices[1:]):
+        i = int(off[i]) + col - prev - 1
     return i
 
 

@@ -299,30 +299,35 @@ class SweepRow:
     error: Optional[str] = None
 
 
-MC_CSV_COLUMNS = [
-    "n",
-    "k",
-    "m",
-    "s",
-    "snr_min",
-    "rho",
-    "trials",
-    "event_fail",
-    "event_lo",
-    "event_hi",
-    "decode_err",
-    "decode_lo",
-    "decode_hi",
-    "correct_atypical",
-    "correct_atypical_lo",
-    "correct_atypical_hi",
-    "incorrect_typical",
-    "incorrect_typical_lo",
-    "incorrect_typical_hi",
-    "log_upper",
-    "lower_fano",
-    "error",
-]
+# (CSV column, SweepRow attribute path) of every cell of a sweep row, in
+# order: the point, the four estimates in RunResult's field order, each with
+# its Wilson interval, then the bounds and the error. A row without rates or
+# a bound leaves their cells empty.
+_SWEEP_COLUMNS = (
+    ("n", "plan.params.n"),
+    ("k", "plan.params.k"),
+    ("m", "plan.params.m"),
+    ("s", "plan.params.s"),
+    ("snr_min", "plan.params.snr_min"),
+    ("rho", "plan.params.rho"),
+    ("trials", "plan.trials"),
+    ("event_fail", "rates.event_failure.point"),
+    ("event_lo", "rates.event_failure.ci_low"),
+    ("event_hi", "rates.event_failure.ci_high"),
+    ("decode_err", "rates.decode_error.point"),
+    ("decode_lo", "rates.decode_error.ci_low"),
+    ("decode_hi", "rates.decode_error.ci_high"),
+    ("correct_atypical", "rates.correct_atypical.point"),
+    ("correct_atypical_lo", "rates.correct_atypical.ci_low"),
+    ("correct_atypical_hi", "rates.correct_atypical.ci_high"),
+    ("incorrect_typical", "rates.incorrect_typical_rate.point"),
+    ("incorrect_typical_lo", "rates.incorrect_typical_rate.ci_low"),
+    ("incorrect_typical_hi", "rates.incorrect_typical_rate.ci_high"),
+    ("log_upper", "bound.log_upper_perr"),
+    ("lower_fano", "bound.lower_perr"),
+    ("error", "error"),
+)
+MC_CSV_COLUMNS = [column for column, _ in _SWEEP_COLUMNS]
 
 
 def sweep(plans: Sequence[TrialPlan], jobs: int = 1) -> List[SweepRow]:
@@ -357,30 +362,12 @@ def sweep(plans: Sequence[TrialPlan], jobs: int = 1) -> List[SweepRow]:
     return rows
 
 
-def _est_cells(est: Optional[EstimateWithCI]) -> List[str]:
-    if est is None:
-        return ["", "", ""]
-    return [repr(est.point), repr(est.ci_low), repr(est.ci_high)]
-
-
 def sweep_csv_lines(rows: Sequence[SweepRow]) -> str:
     """Render sweep rows as a deterministic CSV document (header included)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(MC_CSV_COLUMNS)
-    for row in rows:
-        p = row.plan.params
-        r = row.rates
-        cells = [str(p.n), str(p.k), str(p.m), str(p.s)]
-        cells += [repr(float(p.snr_min)), repr(float(p.rho)), str(row.plan.trials)]
-        cells += _est_cells(r.event_failure if r else None)
-        cells += _est_cells(r.decode_error if r else None)
-        cells += _est_cells(r.correct_atypical if r else None)
-        cells += _est_cells(r.incorrect_typical_rate if r else None)
-        cells.append(repr(row.bound.log_upper_perr) if row.bound else "")
-        cells.append(repr(row.bound.lower_perr) if row.bound else "")
-        cells.append(row.error or "")
-        writer.writerow(cells)
+    writer.writerows(_bounds.csv_cells(row, _SWEEP_COLUMNS) for row in rows)
     return buf.getvalue()
 
 
@@ -420,18 +407,21 @@ def _plan_record(plan: TrialPlan) -> dict:
 class MStarResult:
     """Outcome of the smallest-sufficient-M search.
 
-    m_star is None exactly when saturated (no M up to N reached the
-    target). bracket holds the final (below, at-or-under) pair from
+    saturated, derived as m_star is None, means no M up to N reached the
+    target. bracket holds the final (below, at-or-under) pair from
     bisection when one exists; non_monotone flags estimate sequences that
     were not non-increasing across the evaluated points, in which case the
     bracketing pair is the trustworthy part of the answer.
     """
 
     m_star: Optional[int]
-    saturated: bool
     non_monotone: bool
     bracket: Optional[Tuple[int, int]]
     evaluations: Dict[int, EstimateWithCI]
+
+    @property
+    def saturated(self) -> bool:
+        return self.m_star is None
 
 
 def find_M_star(plan: TrialPlan, target: float, jobs: int = 1) -> MStarResult:
@@ -464,16 +454,16 @@ def find_M_star(plan: TrialPlan, target: float, jobs: int = 1) -> MStarResult:
 
         lo, hi = plan.params.k + 1, plan.params.n
         if probe(lo) <= target:
-            return MStarResult(lo, False, False, None, evaluations)
+            return MStarResult(lo, False, None, evaluations)
         if lo == hi or probe(hi) > target:
-            return MStarResult(None, True, not monotone_ok(), None, evaluations)
+            return MStarResult(None, not monotone_ok(), None, evaluations)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if probe(mid) <= target:
                 hi = mid
             else:
                 lo = mid
-        return MStarResult(hi, False, not monotone_ok(), (lo, hi), evaluations)
+        return MStarResult(hi, not monotone_ok(), (lo, hi), evaluations)
 
 
 def trend_residual(values: Sequence[float]) -> float:

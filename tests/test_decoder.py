@@ -307,8 +307,8 @@ class TestDecode:
 class TestExactTies:
     # column dup repeats column src in every sensing matrix, so the true
     # support and the one with src swapped for dup span the same columns
-    # and score identically; a four-candidate chunk puts their sibling
-    # groups in different chunks of the walk, the default chunk in one
+    # and score identically; a budget of four candidates a chunk puts their
+    # sibling groups in different chunks of the walk, the default in one
     N, M, S = 8, 4, 2
 
     def _tied_trials(self, true, src, dup, trials):
@@ -334,10 +334,10 @@ class TestExactTies:
     )
     def test_earlier_support_wins_a_tie(self, monkeypatch, true, src, dup, earlier, later, split):
         if split:
-            monkeypatch.setattr(decoder, "_SUPPORT_CHUNK", 4)
+            monkeypatch.setattr(decoder, "_WALK_SCORES", 4 * self.S)
         p, support, instances = self._tied_trials(true, src, dup, trials=3)
-        levels = decoder._prefix_tables(p.n, p.k)
-        first, second = decoder._lex_rank(levels, earlier), decoder._lex_rank(levels, later)
+        tables = decoder._prefix_tables(p.n, p.k)
+        first, second = decoder._lex_rank(tables, earlier), decoder._lex_rank(tables, later)
         for f, y in instances:
             chunk_of, value_of = {}, {}
             for lo, value, _ in decoder._trial_scores(f.matrices[None], y.measurements[None], p.k):
@@ -361,22 +361,41 @@ class TestExactTies:
 class TestPrefixTables:
     @pytest.mark.parametrize("n, k", [(6, 1), (9, 2), (10, 4), (12, 5)])
     def test_leaf_positions_round_trip(self, n, k):
-        levels = decoder._prefix_tables(n, k)
+        tables = decoder._prefix_tables(n, k)
         supports = list(itertools.combinations(range(n), k))
-        assert len(levels[-1].unc) == len(supports)
+        # one (child_off, unc) pair per level above the candidates
+        assert len(tables) == k - 1
+        assert all(len(unc) == off[-1] for off, unc in tables)
+        assert (tables[-1][0][-1] if tables else n) == len(supports)
         for i, support in enumerate(supports):
-            assert decoder._support_at(levels, i) == support
-            assert decoder._lex_rank(levels, support) == i
+            assert decoder._support_at(tables, i) == support
+            assert decoder._lex_rank(tables, support) == i
 
     @pytest.mark.parametrize("n, k", [(9, 2), (10, 4), (12, 5)])
     def test_unc_points_at_the_parents_sibling(self, n, k):
-        # entry p + (c,) of level l gathers column c from p[:-1] + (c,) of
-        # level l-1, the sibling of p that ends in c
-        levels = decoder._prefix_tables(n, k)
-        for depth in range(2, k + 1):
-            for i, unc in enumerate(levels[depth - 1].unc):
-                prefix = decoder._support_at(levels[:depth], i)
-                assert decoder._support_at(levels[: depth - 1], int(unc)) == prefix[:-2] + prefix[-1:]
+        # entry p + (c,) of level l+1 gathers column c from p[:-1] + (c,) of
+        # level l, the sibling of p that ends in c
+        tables = decoder._prefix_tables(n, k)
+        for depth, (_, unc) in enumerate(tables, start=1):
+            for i, j in enumerate(unc):
+                prefix = decoder._support_at(tables[:depth], i)
+                assert decoder._support_at(tables[: depth - 1], int(j)) == prefix[:-2] + prefix[-1:]
+
+
+class TestWalkChunks:
+    def test_a_chunk_holds_at_most_the_score_budget(self):
+        # 200 vectors of C(20, 2) = 190 candidates: the walk must cut the
+        # candidates so that no chunk holds more than _WALK_SCORES scores
+        t, s, m, n, k = 1, 200, 3, 20, 2
+        rng = np.random.default_rng(17)
+        matrices = rng.standard_normal((t, s, m, n))
+        measurements = rng.standard_normal((t, s, m))
+        seen = 0
+        for lo, value, _ in decoder._trial_scores(matrices, measurements, k):
+            assert lo == seen
+            assert t * s * value.shape[1] <= decoder._WALK_SCORES
+            seen += value.shape[1]
+        assert seen == math.comb(n, k)
 
 
 class TestDecodeTrials:

@@ -203,14 +203,16 @@ def test_typicality_stat_is_decode_test(inst):
     assert sum(st.typical for st in stats) == out.num_incorrect_typical + out.correct_typical
 
 
-@pytest.mark.parametrize("chunk", [decoder._SUPPORT_CHUNK, 1, 7], ids=["default", "1", "7"])
+@pytest.mark.parametrize("chunk", [None, 1, 7], ids=["default", "1", "7"])
 def test_every_candidate_matches_dense_rows(monkeypatch, chunk):
     # N=10, K=4 walks three internal prefix levels; one duplicated column
-    # makes some blocks rank-deficient. The default chunk holds all 210
-    # candidates; 1 gives each sibling group a chunk of its own, and 7 cuts
-    # runs of parents among which some have no children
-    monkeypatch.setattr(decoder, "_SUPPORT_CHUNK", chunk)
+    # makes some blocks rank-deficient. The default budget holds all 210
+    # candidates in one chunk; 1 candidate a chunk gives each sibling group
+    # a chunk of its own, and 7 cuts runs of parents among which some have
+    # no children
     n, k, m, s = 10, 4, 6, 2
+    if chunk is not None:
+        monkeypatch.setattr(decoder, "_WALK_SCORES", chunk * s)
     rng = np.random.default_rng(2024)
     f = rng.standard_normal((s, m, n))
     f[1, :, 7] = f[1, :, 3]
@@ -228,3 +230,25 @@ def test_every_candidate_matches_dense_rows(monkeypatch, chunk):
     for (_, value, _, _), got, ok in zip(rows, values, rank_ok):
         if ok:
             assert got == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+
+def _all_scores(matrices, measurements, k):
+    """Every candidate's values and rank flags from one walk, chunks joined in order."""
+    _, values, oks = zip(*_trial_scores(matrices, measurements, k))
+    return np.concatenate(values, axis=1), np.concatenate(oks, axis=1)
+
+
+@pytest.mark.parametrize("t, s, m, n, k", [(1, 2, 5, 30, 4), (3, 2, 4, 12, 3)], ids=["s2", "t3-s2"])
+def test_multi_vector_scores_do_not_depend_on_the_chunk(monkeypatch, t, s, m, n, k):
+    # with two or more vectors einsum sums each score row by row in order,
+    # so a budget of 1 or 7 candidates a chunk gives the default's bits
+    rng = np.random.default_rng(31)
+    matrices = rng.standard_normal((t, s, m, n))
+    measurements = rng.standard_normal((t, s, m))
+    value, ok = _all_scores(matrices, measurements, k)
+    assert value.shape == (t, math.comb(n, k))
+    for chunk in (1, 7):
+        monkeypatch.setattr(decoder, "_WALK_SCORES", chunk * t * s)
+        got_value, got_ok = _all_scores(matrices, measurements, k)
+        assert np.array_equal(got_value, value)
+        assert np.array_equal(got_ok, ok)

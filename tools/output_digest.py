@@ -19,9 +19,11 @@ with one and two workers), bounds at three points (one where the
 necessary measurement count is vacuous, one where the Corollary 2
 columns are NaN), verify at three seeds (one at 200,000 samples, one at
 the 2,000-sample floor, where a sampler's whole stack is smaller than one
-residual batch), and two
+residual batch), two
 simulate points at the decoder walk's edge depths: K=1, where the raw
-columns are the candidates, and K=5, with four levels of prefixes.
+columns are the candidates, and K=5, with four levels of prefixes, and two
+simulate points whose walks the score budget cuts into many chunks: 27,405
+candidates of two vectors, and 190 candidates of 200 vectors.
 
 tests/test_output_digests.py runs the same set in-process and compares
 it with tests/output_digests.txt; a change that moves output bytes on
@@ -103,6 +105,16 @@ RUNS: Tuple[Tuple[str, List[str], Optional[str]], ...] = (
     (
         "simulate-n12k5m7s2",
         "simulate --n 12 --k 5 --m 7 --s 2 --snr 10 --trials 300 --seed 7".split(),
+        "simulate.csv",
+    ),
+    (
+        "simulate-n30k4m5s2",
+        "simulate --n 30 --k 4 --m 5 --s 2 --snr 10 --trials 40 --seed 7".split(),
+        "simulate.csv",
+    ),
+    (
+        "simulate-n20k2m3s200",
+        "simulate --n 20 --k 2 --m 3 --s 200 --snr 10 --trials 20 --seed 7".split(),
         "simulate.csv",
     ),
 )
