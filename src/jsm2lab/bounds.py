@@ -12,14 +12,15 @@ exponents scale like S(M-K) and overflow doubles immediately otherwise.
 Binomial coefficients go through log-gamma and the combined bound through
 log-sum-exp. Raw log values are preserved alongside clamped probabilities
 so dominance comparisons stay exact even where a bound exceeds one.
-scipy.special is imported inside log_binom, the one function that uses it,
-so importing this module loads numpy only.
+The log-gamma is a port of the one scipy.special.gammaln computes for
+integers, bit for bit, so no command loads scipy.special.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -35,6 +36,17 @@ from .errors import (
 )
 
 _LOG2 = math.log(2.0)
+
+# cephes lgam's log(sqrt(2 pi)) and Stirling-series coefficients, the
+# highest power of 1/x^2 first
+_LOG_SQRT_2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
 
 
 class Regime(str, enum.Enum):
@@ -60,14 +72,43 @@ def p_chernoff(x: float, beta: float) -> float:
     return beta * (math.log(x) - (x - 1.0))
 
 
-def log_binom(n: int, k: int) -> float:
-    """log C(n, k) in nats via log-gamma."""
-    # imported on call, not with the package: scipy.special is slow to load
-    from scipy.special import gammaln
+def _log_gamma(x: int) -> float:
+    """log Gamma(x) of an integer x >= 1, with the bits of scipy.special.gammaln.
 
+    A port of cephes lgam, which gammaln runs, for integer arguments: the
+    log of (x-1)! below 13, and above it Stirling's series, cut to three
+    terms from 1000 and to none above 1e8. math.lgamma differs from it in
+    the last bit at about half the integers, and log_binom's values are
+    printed with repr.
+    """
+    if x < 13:
+        return math.log(math.factorial(x - 1))
+    x = float(x)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        series = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+        return q + (series + 0.0833333333333333333333) / x
+    series = 0.0
+    for c in _STIRLING:
+        series = series * p + c
+    return q + series / x
+
+
+def log_binom(n: int, k: int) -> float:
+    """log C(n, k) in nats via log-gamma, for integers 0 <= k <= n.
+
+    numpy integers are accepted; a float, even an integral one, is refused.
+    """
+    try:
+        n, k = operator.index(n), operator.index(k)
+    except TypeError:
+        raise InvalidRangeError(f"need integers n and k, got n={n!r}, k={k!r}") from None
     if not 0 <= k <= n:
         raise InvalidRangeError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    return _log_gamma(n + 1) - _log_gamma(k + 1) - _log_gamma(n - k + 1)
 
 
 def t_value(params: ProblemParams) -> float:

@@ -29,10 +29,12 @@ each prefix is deflated once: its state is the columns after its last index
 and y, with the prefix's span projected out, plus the running extremes of
 its pivots. Extending a prefix by one column costs one more deflation of
 the columns that follow. The walk goes depth-first over index tables cached
-per (N, K), in chunks of sibling groups of at most _WALK_SCORES scores,
-and yields each leaf chunk's residual energies and rank flags per
-measurement vector. A chunk's parents are consecutive entries of the level
-above, so np.repeat by their child counts hands each child its parent's
+per (N, K), in chunks of sibling groups of at most _WALK_SCORES scores
+(a group of leaves with more is cut into parts of that many), and yields
+each leaf chunk's residual energies and rank flags per measurement
+vector. A chunk's parents are consecutive entries of the level above
+(the first and last may have only part of their children in it), so
+np.repeat by their child counts hands each child its parent's
 column, divisor, deflated y and pivot extremes; the one gather left picks
 each child's own column from its parent's siblings, and that gather index
 and the child offsets are all the tables keep (see _prefix_tables). A
@@ -83,12 +85,13 @@ _RESIDUAL_BATCH_SCALARS = 1 << 16
 
 # Vector-candidate scores one walk holds at a time: trials_per_walk stacks as
 # many trials as keep T * S * C(N, K) within it, and the walk cuts each level
-# into chunks of _WALK_SCORES // (T * S) candidates, one at the least. Small
-# problems pay per call, not per flop; larger arrays stop paying off once
-# they leave cache. Part of the output bytes only when T * S = 1: a
-# one-output einsum rounds the vector body and the scalar tail of its inner
-# loop differently, so a score's last bit depends on its place in a chunk
-# (at N=9, K=2 a chunk of 1 moves some); more vectors sum row by row.
+# into chunks of _WALK_SCORES // (T * S) candidates, one at the least, cutting
+# a sibling group of leaves that alone has more. Small problems pay per call,
+# not per flop; larger arrays stop paying off once they leave cache. Part of
+# the output bytes only when T * S = 1: a one-output einsum rounds the vector
+# body and the scalar tail of its inner loop differently, so a score's last
+# bit depends on its place in a chunk (at N=9, K=2 a chunk of 1 moves some);
+# more vectors sum row by row, and _trial_scores adds them in order.
 _WALK_SCORES = 16384
 
 
@@ -343,19 +346,24 @@ def _prefix_tables(n: int, k: int) -> _Tables:
     return tuple(tables)
 
 
-def _chunks(off: np.ndarray, lo: int, hi: int, size: int):
-    """Cut entries lo..hi-1 into runs (p_lo, p_hi) of whole sibling groups.
+def _chunks(off: np.ndarray, lo: int, hi: int, size: int, split: bool):
+    """Cut the children of entries lo..hi-1 into runs (p_lo, p_hi, c_lo, c_hi).
 
-    The children of a run are entries off[p_lo]:off[p_hi] of the next
-    level: at most size of them, or those of a single entry when that
-    entry alone has more. Runs without children are skipped.
+    A run's children are entries c_lo:c_hi of the next level, children of
+    entries p_lo:p_hi: whole sibling groups of at most size children, or a
+    single group alone when it has more. With split, such a group is cut
+    into parts of size children, its parent repeated in each run; without
+    it the group stays whole, as children that have children of their own
+    gather columns from their siblings. Runs without children are skipped.
     """
     while lo < hi:
         end = hi
         if off[hi] - off[lo] > size:
             end = max(int(np.searchsorted(off, off[lo] + size, side="right")) - 1, lo + 1)
-        if off[end] > off[lo]:
-            yield lo, end
+        c_lo, c_hi = int(off[lo]), int(off[end])
+        step = size if split else max(1, c_hi - c_lo)
+        for c in range(c_lo, c_hi, step):
+            yield lo, end, c, min(c + step, c_hi)
         lo = end
 
 
@@ -388,9 +396,9 @@ def _walk(tables, depth, lo, v, ry, pivot_min, pivot_max, counts):
         return
     off, unc = tables[depth - 1]
     size = max(1, _WALK_SCORES // v.shape[1])
-    for p_lo, p_hi in _chunks(off, lo, lo + v.shape[2], size):
-        c_lo, c_hi = int(off[p_lo]), int(off[p_hi])
-        counts = np.diff(off[p_lo : p_hi + 1])
+    split = depth == len(tables)  # the children are leaves
+    for p_lo, p_hi, c_lo, c_hi in _chunks(off, lo, lo + v.shape[2], size, split):
+        counts = np.diff(off[p_lo : p_hi + 1].clip(c_lo, c_hi))
         parents = slice(p_lo - lo, p_hi - lo)
         child = v.take(unc[c_lo:c_hi] - lo, axis=2)
         rep = np.repeat(v[:, :, parents], counts, axis=2)
@@ -418,7 +426,12 @@ def _trial_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
     tables = _prefix_tables(n, k)
     for lo, value, ok in _walk(tables, 1, 0, ft, root, pivot_min, pivot_max, [n]):
         c = value.shape[1]
-        yield lo, value.reshape(t, s, c).sum(axis=1), ok.reshape(t, s, c).all(axis=1)
+        v = value.reshape(t, s, c)
+        # sum adds each trial's s vectors in order across a chunk of several
+        # candidates but pairwise along a chunk of one, where a running sum
+        # keeps the order (and is slow across several)
+        total = v.sum(axis=1) if c > 1 else np.add.accumulate(v, axis=1)[:, -1]
+        yield lo, total, ok.reshape(t, s, c).all(axis=1)
 
 
 def _select(

@@ -27,9 +27,8 @@ a whole sweep or every probe of find_M_star, opens one worker pool
 maps all of its (plan, seed block) units over it, then sums
 each plan's counters in plan order. A sweep returns one row per plan in
 the caller's order; the jsm2lab sweep command orders its grid.
-scipy.optimize is imported inside trend_residual, the one function that
-uses it, so importing this module loads numpy only (the bounds import
-scipy.special when a plan asks for them).
+trend_residual runs its own isotonic fit, with the bits of
+scipy.optimize.isotonic_regression, so no command loads scipy.optimize.
 """
 
 from __future__ import annotations
@@ -472,11 +471,36 @@ def trend_residual(values: Sequence[float]) -> float:
     Zero for already non-increasing data; used to test decay trends under
     Monte Carlo noise without demanding strict pointwise order.
     """
-    # imported on call, not with the package: scipy.optimize is slow to load
-    from scipy.optimize import isotonic_regression
-
     arr = np.asarray(values, dtype=float)
     if arr.size <= 1:
         return 0.0
-    fit = isotonic_regression(arr, increasing=False)
-    return float(np.max(np.abs(fit.x - arr)))
+    # The pool-adjacent-violators algorithm of Busing (2022), which
+    # scipy.optimize.isotonic_regression runs: an increasing fit of the
+    # reversed sequence that pools ties (>=) and takes each block's mean as
+    # its weighted sum over its weight, so the fit has scipy's bits.
+    y = arr[::-1].tolist()
+    blocks = []  # (mean, weight, end) of each pooled block; end is one past
+    i = 0
+    while i < len(y):
+        mean = total = y[i]
+        weight = 1.0
+        if blocks and blocks[-1][0] >= mean:
+            prev_mean, prev_weight, _ = blocks.pop()
+            total += prev_weight * prev_mean
+            weight += prev_weight
+            mean = total / weight
+            while i < len(y) - 1 and mean >= y[i + 1]:
+                i += 1
+                total += y[i]
+                weight += 1.0
+                mean = total / weight
+            while blocks and blocks[-1][0] >= mean:
+                prev_mean, prev_weight, _ = blocks.pop()
+                total += prev_weight * prev_mean
+                weight += prev_weight
+                mean = total / weight
+        blocks.append((mean, weight, i + 1))
+        i += 1
+    means, _, ends = zip(*blocks)
+    fit = np.repeat(means, np.diff(ends, prepend=0))[::-1]
+    return float(np.max(np.abs(fit - arr)))

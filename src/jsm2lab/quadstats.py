@@ -11,8 +11,8 @@ form from the centering energies); quadform_mgf gives its moment
 generating function. Direct samplers and an empirical check of the
 exponential tail inequalities used by the closed-form bounds complete the
 module. The decoder and bound tests lean on these as independent
-references. scipy.stats is imported inside laurent_massart_check, the one
-function that uses it, so importing this module loads numpy only.
+references. The tail check's binomial quantile is summed here, to the
+integer scipy.stats.binom.isf gives, so no command loads scipy.stats.
 """
 
 from __future__ import annotations
@@ -173,6 +173,30 @@ class TailCheckResult:
         return self.upper_ok and self.lower_ok
 
 
+def _binom_isf(q: float, n: int, p: float) -> int:
+    """Smallest k with P(X > k) <= q for X ~ Binomial(n, p), as scipy's binom.isf.
+
+    Sums the upper tail downward, through the pmf ratio
+    pmf(k-1) / pmf(k) = k (1-p) / ((n-k+1) p), from 13 standard deviations
+    plus 40 above the mean, where the tail beyond is below 1e-26 (Bernstein),
+    to just under the mean; a quantile with q < 1/2 lies between the two.
+    """
+    if not 0.0 < p < 1.0:
+        return n if p == 1.0 else 0
+    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+    hi = min(n, math.ceil(mean + 13.0 * sd + 40.0))
+    lo = max(0, math.floor(mean) - 1)
+    log_pmf = (
+        math.lgamma(n + 1) - math.lgamma(hi + 1) - math.lgamma(n - hi + 1)
+        + hi * math.log(p) + (n - hi) * math.log1p(-p)
+    )
+    k = np.arange(hi, lo, -1, dtype=float)
+    ratios = k * (1.0 - p) / ((n - k + 1.0) * p)
+    # pmf(hi), pmf(hi-1), ..., pmf(lo) summed in turn: tail[j] = P(X > hi - j - 1)
+    tail = np.cumsum(np.cumprod(np.concatenate(([math.exp(log_pmf)], ratios))))
+    return max(0, hi - int(np.searchsorted(tail, q, side="right")))
+
+
 def laurent_massart_check(
     alpha_list: Sequence[float],
     x: float,
@@ -207,12 +231,9 @@ def laurent_massart_check(
     n_upper = int(np.count_nonzero(y >= upper_cut))
     n_lower = int(np.count_nonzero(y <= lower_cut))
 
-    # imported on call, not with the package: scipy.stats is slow to load
-    from scipy.stats import binom
-
     bound = math.exp(-x)
     # Largest exceedance count still consistent with a true rate <= bound.
-    crit = float(binom.isf(0.01, trials, min(bound, 1.0)))
+    crit = _binom_isf(0.01, trials, bound)
     allowance = max(0.0, crit / trials - bound)
     limit = bound + allowance
     return TailCheckResult(

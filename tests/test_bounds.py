@@ -535,3 +535,12 @@ class TestLogBinom:
         assert log_binom(10_000, 500) == pytest.approx(
             math.lgamma(10_001) - math.lgamma(501) - math.lgamma(9_501), rel=1e-12
         )
+
+    def test_numpy_integers_give_the_same_bits(self):
+        assert log_binom(np.int64(64), np.int32(4)) == log_binom(64, 4)
+        assert type(log_binom(np.int64(64), np.uint8(4))) is float
+
+    @pytest.mark.parametrize("n, k", [(10.0, 2), (10, 2.0), (10.5, 2), ("10", 2), (None, 0)])
+    def test_refuses_a_non_integer(self, n, k):
+        with pytest.raises(InvalidRangeError, match="integers"):
+            log_binom(n, k)

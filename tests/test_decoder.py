@@ -397,6 +397,33 @@ class TestWalkChunks:
             seen += value.shape[1]
         assert seen == math.comb(n, k)
 
+    @pytest.mark.parametrize(
+        "n, k, s",
+        [(40, 2, 500), (20, 3, 1000)],
+        ids=["leaves-of-one-parent", "prefixes-stay-whole"],
+    )
+    def test_a_sibling_group_over_the_budget_is_split(self, monkeypatch, n, k, s):
+        # 39 x 500 = 19,500 scores below one parent at N=40, K=2: the group
+        # alone exceeds _WALK_SCORES and is cut into parts; at K=3 the leaf
+        # groups are cut and the groups of prefixes above them kept whole
+        rng = np.random.default_rng(19)
+        matrices = rng.standard_normal((1, s, 3, n))
+        measurements = rng.standard_normal((1, s, 3))
+
+        def scores():
+            chunks = list(decoder._trial_scores(matrices, measurements, k))
+            starts = np.cumsum([0] + [value.shape[1] for _, value, _ in chunks])
+            assert [lo for lo, _, _ in chunks] == starts[:-1].tolist()
+            return chunks
+
+        chunks = scores()
+        assert all(s * value.shape[1] <= decoder._WALK_SCORES for _, value, _ in chunks)
+        monkeypatch.setattr(decoder, "_WALK_SCORES", 1 << 40)
+        (whole,) = scores()
+        assert whole[1].shape[1] == math.comb(n, k)
+        for i in (1, 2):  # values summed over the s vectors, and rank flags
+            assert np.array_equal(np.concatenate([c[i] for c in chunks], axis=1), whole[i])
+
 
 class TestDecodeTrials:
     def test_each_trial_gets_decodes_events(self):

@@ -1,9 +1,10 @@
 """The output bytes of tools/output_digest.py's runs match the committed digests.
 
 Each run goes through cli.main in-process, in its own working directory.
-The digests depend on numpy's PCG64 stream and normal sampler and on scipy,
-whose versions head tests/output_digests.txt. A change that moves output
-bytes on purpose rewrites that file with the tool and says why.
+The digests depend on numpy's PCG64 stream and normal sampler, whose
+version heads tests/output_digests.txt; the '# scipy' line under it names
+the version field of the sweep sidecar. A change that moves output bytes
+on purpose rewrites that file with the tool and says why.
 """
 
 import difflib
