@@ -12,13 +12,14 @@ exponents scale like S(M-K) and overflow doubles immediately otherwise.
 Binomial coefficients go through log-gamma and the combined bound through
 log-sum-exp. Raw log values are preserved alongside clamped probabilities
 so dominance comparisons stay exact even where a bound exceeds one.
-The log-gamma is a port of the one scipy.special.gammaln computes for
-integers, bit for bit, so no command loads scipy.special.
+Where a finite but extreme point (SNR 1e300, rho 1e20) takes a closed form
+out of float range, the reports raise DomainError.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 import warnings
@@ -132,6 +133,17 @@ def _check_delta(delta: float, k: int, m: int, floor_sq: float) -> None:
         )
 
 
+def _in_float_range(report):
+    """report(params, ...), raising DomainError where its closed forms leave float range."""
+    @functools.wraps(report)
+    def checked(params: ProblemParams, *args, **kwargs):
+        try:
+            return report(params, *args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"closed forms leave float range at {params}: {exc.args[-1]}") from None
+    return checked
+
+
 # ---- Reports -------------------------------------------------------------
 
 
@@ -185,16 +197,14 @@ class BoundReport:
     log_upper_perr: float
     log_p1_exp: float
     log_p2_exp: float
-    mu_I: float
-    mu_J: float
     log_mu_I: float
     log_mu_J: float
     lower_perr: float
 
-    @property
-    def upper_perr(self) -> float:
-        """Combined upper bound clamped into [0, 1]."""
-        return min(1.0, math.exp(self.log_upper_perr))
+    # Read from the logs; the clamp goes first, so no exp overflows.
+    upper_perr = property(lambda self: math.exp(min(0.0, self.log_upper_perr)))
+    mu_I = property(lambda self: math.exp(self.log_mu_I))
+    mu_J = property(lambda self: math.exp(self.log_mu_J))
 
     def csv_row(self) -> str:
         return ",".join(csv_cells(self, _BOUND_COLUMNS))
@@ -301,6 +311,7 @@ def exp_ineq_bounds(
     return float(log_p1), float(log_p2)
 
 
+@_in_float_range
 def upper_bound_perr(params: ProblemParams) -> BoundReport:
     """Combined closed-form bound on the decoding failure event.
 
@@ -313,9 +324,9 @@ def upper_bound_perr(params: ProblemParams) -> BoundReport:
     n, k, m, s = params.n, params.k, params.m, params.s
     sigma2, xmin2 = params.sigma2, params.xmin2
     delta = params.delta
-    _check_delta(delta, k, m, xmin2)
-    d1 = m * delta / ((m - k) * sigma2)
     alpha_star = sigma2 + xmin2
+    log_p1_exp, log_p2_exp = exp_ineq_bounds(params, xmin2, [alpha_star] * s)
+    d1 = m * delta / ((m - k) * sigma2)
     d2 = ((m - k) * sigma2 + m * delta) / ((m - k) * alpha_star)
     beta = 0.5 * s * (m - k)
     log_p_d1 = p_chernoff(1.0 + d1, beta)
@@ -324,7 +335,6 @@ def upper_bound_perr(params: ProblemParams) -> BoundReport:
     log_upper = float(np.logaddexp(_LOG2 + log_p_d1, lb + log_p_d2))
     t = t_value(params)
     log_mu_i, log_mu_j = log_mu_factors(params)
-    log_p1_exp, log_p2_exp = exp_ineq_bounds(params, xmin2, [alpha_star] * s)
     return BoundReport(
         params=params,
         d1=d1,
@@ -337,8 +347,6 @@ def upper_bound_perr(params: ProblemParams) -> BoundReport:
         log_upper_perr=log_upper,
         log_p1_exp=log_p1_exp,
         log_p2_exp=log_p2_exp,
-        mu_I=math.exp(log_mu_i),
-        mu_J=math.exp(log_mu_j),
         log_mu_I=log_mu_i,
         log_mu_J=log_mu_j,
         lower_perr=fano_lower_perr(params),
@@ -523,6 +531,7 @@ def mmv_order_comparison(params: ProblemParams) -> MmvOrderReport:
 # ---- Gathered sufficiency view -------------------------------------------
 
 
+@_in_float_range
 def sufficiency_report(
     params: ProblemParams,
     alpha: Optional[float] = None,

@@ -35,6 +35,7 @@ from .decoder import check_enumeration_budget, projection_residual
 from .ensemble import AMPLITUDE_FIXED, AMPLITUDE_MODES, ProblemParams
 from .errors import ConfigError, EnumerationBudgetError, InvalidRangeError, Jsm2LabError
 from .montecarlo import (
+    SweepRow,
     TrialPlan,
     find_M_star,
     sweep,
@@ -316,9 +317,14 @@ def _grid_plans(config: argparse.Namespace) -> List[TrialPlan]:
     return plans
 
 
-def _write_sidecar(meta: TextIO, rows, wall: float) -> None:
-    json.dump(sweep_metadata(rows, wall), meta, indent=2, sort_keys=True)
-    meta.write("\n")
+def _sweep(plans: List[TrialPlan], jobs: int, meta: Optional[TextIO]) -> List[SweepRow]:
+    """The rows of sweep(plans, jobs); their sidecar goes to meta when there is one."""
+    start = time.monotonic()
+    rows = sweep(plans, jobs=jobs)
+    if meta:
+        json.dump(sweep_metadata(rows, time.monotonic() - start), meta, indent=2, sort_keys=True)
+        meta.write("\n")
+    return rows
 
 
 def _cmd_simulate(config: argparse.Namespace) -> int:
@@ -327,25 +333,17 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
     check_enumeration_budget(config.params)
     plan = _plan(config)
     with _open_out(config.out) as out, _open_out(config.out, ".meta.json") as meta:
-        start = time.monotonic()
-        rows = sweep([plan], jobs=config.jobs)
-        wall = time.monotonic() - start
-        _emit(sweep_csv_lines(rows), out)
-        if meta:
-            _write_sidecar(meta, rows, wall)
+        _emit(sweep_csv_lines(_sweep([plan], config.jobs, meta)), out)
     return 0
 
 
 def _cmd_sweep(config: argparse.Namespace) -> int:
     plans = _grid_plans(config)
     with _open_out(config.out) as out, _open_out(config.out, ".meta.json") as meta:
-        start = time.monotonic()
-        rows = sweep(plans, jobs=config.jobs)
-        wall = time.monotonic() - start
+        rows = _sweep(plans, config.jobs, meta)
         text = sweep_csv_lines(rows)
         if out:
             out.write(text)
-            _write_sidecar(meta, rows, wall)
             sys.stdout.write(f"wrote {len(rows)} rows to {config.out}\n")
         else:
             sys.stdout.write(text)

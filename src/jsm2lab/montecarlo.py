@@ -27,8 +27,6 @@ a whole sweep or every probe of find_M_star, opens one worker pool
 maps all of its (plan, seed block) units over it, then sums
 each plan's counters in plan order. A sweep returns one row per plan in
 the caller's order; the jsm2lab sweep command orders its grid.
-trend_residual runs its own isotonic fit, with the bits of
-scipy.optimize.isotonic_regression, so no command loads scipy.optimize.
 """
 
 from __future__ import annotations
@@ -376,18 +374,12 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
 
 
 def sweep_metadata(rows: Sequence[SweepRow], wall_time_s: float) -> dict:
-    """Sidecar payload: the whole plan of every row, library versions, and wall time."""
-    import scipy
-
+    """Sidecar payload: every row's whole plan, the jsm2lab and numpy versions, and wall time."""
     return {
         "format": "jsm2lab-sweep-meta-1",
         "created_unix": time.time(),
         "wall_time_s": wall_time_s,
-        "versions": {
-            "jsm2lab": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": {"jsm2lab": __version__, "numpy": np.__version__},
         "interval": "wilson-95",
         "rows": [_plan_record(row.plan) for row in rows],
     }

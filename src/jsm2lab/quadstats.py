@@ -11,8 +11,7 @@ form from the centering energies); quadform_mgf gives its moment
 generating function. Direct samplers and an empirical check of the
 exponential tail inequalities used by the closed-form bounds complete the
 module. The decoder and bound tests lean on these as independent
-references. The tail check's binomial quantile is summed here, to the
-integer scipy.stats.binom.isf gives, so no command loads scipy.stats.
+references.
 """
 
 from __future__ import annotations

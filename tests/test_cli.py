@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import shlex
@@ -440,6 +441,44 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_bounds_clamps_a_bound_past_the_range_of_exp(self, capsys):
+        # log_upper is 971.5 here, beyond the 709.78 at which math.exp overflows
+        rc = main(["bounds", "--n", "3000", "--k", "300", "--m", "301", "--s", "1", "--snr", "1"])
+        assert rc == 0
+        header, row = capsys.readouterr().out.split("\n")[:2]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert float(cells["log_upper"]) > 709.8
+        assert cells["upper_clamped"] == "1.0"
+
+    @pytest.mark.parametrize(
+        "flags, sweep_bound_error",
+        [
+            ("--snr 1e-20", False),  # nu2's log(1-t) + t rounds to 0
+            ("--snr 1e300", True),  # sigma2**2 underflows to 0
+            ("--xmin2 1e-300 --snr 10", True),
+            ("--snr 1e-300", True),  # sigma2**2 overflows
+            ("--snr 10 --rho 1e20", False),  # Corollary 3's log mu_I rounds to 0
+        ],
+    )
+    def test_closed_forms_out_of_float_range(self, flags, sweep_bound_error, tmp_path, capsys):
+        point = ["--n", "6", "--k", "2", "--s", "1", *flags.split()]
+        assert main(["bounds", "--m", "4", *point]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: closed forms leave float range")
+        assert captured.err.count("\n") == 1
+        # the sweep computes only the upper bound, and records its error per row
+        out = tmp_path / "grid.csv"
+        argv = ["sweep", *point, "--trials", "4", "--axis", "m", "--values", "3,4", "--out", str(out)]
+        assert main(argv) == 0
+        errors = [row["error"] for row in csv.DictReader(out.read_text().splitlines())]
+        assert len(errors) == 2
+        for error in errors:
+            if sweep_bound_error:
+                assert error.startswith("bound: closed forms leave float range")
+            else:
+                assert error == ""
 
     def test_sweep_refuses_a_zero_snr_grid_value(self, capsys):
         rc = main(

@@ -338,7 +338,7 @@ class TestSweep:
         json.dumps(meta)  # must be serializable as the sidecar
         assert meta["wall_time_s"] == 1.25
         assert meta["rows"][0]["master_seed"] == 17
-        assert set(meta["versions"]) == {"jsm2lab", "numpy", "scipy"}
+        assert set(meta["versions"]) == {"jsm2lab", "numpy"}
         assert meta["versions"]["jsm2lab"] == jsm2lab.__version__
         assert meta["interval"] == "wilson-95"
 

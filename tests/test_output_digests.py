@@ -2,8 +2,7 @@
 
 Each run goes through cli.main in-process, in its own working directory.
 The digests depend on numpy's PCG64 stream and normal sampler, whose
-version heads tests/output_digests.txt; the '# scipy' line under it names
-the version field of the sweep sidecar. A change that moves output bytes
+version heads tests/output_digests.txt. A change that moves output bytes
 on purpose rewrites that file with the tool and says why.
 """
 

@@ -4,7 +4,7 @@ bounds.log_binom, montecarlo.trend_residual and the allowance of
 quadstats.laurent_massart_check are printed with repr by the bounds, sweep
 and verify commands, so each port must give exactly the value of the scipy
 function it replaces: gammaln, isotonic_regression and binom.isf. scipy is
-imported here only, as the reference.
+a test dependency only, imported here as the reference.
 """
 
 import math

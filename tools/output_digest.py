@@ -6,9 +6,8 @@ Runs a fixed set of `jsm2lab` commands against CHECKOUT/src, each in its
 own temporary directory, and prints one line per stdout and per --out
 file: the sha256, the exit code for a stdout, and a label. Before a sweep
 sidecar is hashed its time fields (created_unix, wall_time_s) are dropped.
-Two '#' lines first name the numpy and scipy versions: the Monte Carlo
-and verify bytes depend on numpy, and the '# scipy' line names the
-version field of the sweep sidecar. Two checkouts whose output bytes agree
+A '#' line first names the numpy version: the Monte Carlo and verify
+bytes depend on numpy. Two checkouts whose output bytes agree
 print identical lines, so
 
     diff <(python3 tools/output_digest.py PARENT) <(python3 tools/output_digest.py CHANGE)
@@ -137,15 +136,13 @@ def _file_digest(path: Path) -> str:
 
 
 def version_lines() -> List[str]:
-    """The header lines naming the numpy and scipy versions of this interpreter.
+    """The header line naming the numpy version of this interpreter.
 
-    numpy's stream and sampler shape the Monte Carlo and verify bytes; scipy's
-    version is the one a sweep sidecar records.
+    numpy's stream and sampler shape the Monte Carlo and verify bytes.
     """
     import numpy
-    import scipy
 
-    return [f"# numpy {numpy.__version__}", f"# scipy {scipy.__version__}"]
+    return [f"# numpy {numpy.__version__}"]
 
 
 def run_lines(label: str, exit_code: int, stdout: bytes, directory: Path) -> List[str]:
