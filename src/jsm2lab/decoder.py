@@ -41,8 +41,13 @@ and the child offsets are all the tables keep (see _prefix_tables). A
 deflation writes its product into the parent columns repeated for it, and
 at a leaf below the root into the candidate's own columns, both
 temporaries nothing reads again; the root columns may be a view of the
-caller's matrices and are never written. Where a score falls in its chunk
-can move its last bit only in a single-vector walk (see _WALK_SCORES).
+caller's matrices and are never written. Each walk has its own buffer
+set, kept between walks in one process (see _trial_scores): every level
+gathers its children's columns into one buffer and the leaf writes its
+coefficients into another, while the np.repeat outputs stay fresh
+arrays, since repeat has no out= and a take into a buffer is about 2x
+slower. Where a score falls in its chunk can move its last bit only in a
+single-vector walk (see _WALK_SCORES).
 
 The walk does not care which trial a vector belongs to, so one walk scores
 a stack of T trials as T*S vectors. Its callers sum each trial's S vectors
@@ -166,16 +171,24 @@ def _pivots(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     column has no direction, so deflating by it is the identity.
     """
     sq = _sq_norms(v)
-    return np.sqrt(sq), np.where(sq > 0.0, sq, 1.0)
+    div = np.where(sq > 0.0, sq, 1.0)
+    return np.sqrt(sq, out=sq), div
 
 
-def _deflate(cols: np.ndarray, v: np.ndarray, div: np.ndarray, spent: bool = False) -> None:
+def _deflate(
+    cols: np.ndarray,
+    v: np.ndarray,
+    div: np.ndarray,
+    spent: bool = False,
+    coef: Optional[np.ndarray] = None,
+) -> None:
     """One MGS step in place: remove from cols their components along v.
 
     A spent v is a temporary its caller is done with: it receives the
-    product v * coef instead of a new array.
+    product v * coef instead of a new array. coef, when given, is an array
+    of div's shape that receives the coefficients instead of a new one.
     """
-    coef = np.einsum("i...,i...->...", v, cols)
+    coef = np.einsum("i...,i...->...", v, cols, out=coef)
     coef /= div
     cols -= np.multiply(v, coef, out=v if spent else None)
 
@@ -367,7 +380,26 @@ def _chunks(off: np.ndarray, lo: int, hi: int, size: int, split: bool):
         lo = end
 
 
-def _walk(tables, depth, lo, v, ry, pivot_min, pivot_max, counts):
+# Buffer sets of the walks that have ended in this process, one dict each
+# (see _trial_scores)
+_IDLE_BUFFERS: list = []
+
+
+def _buffer(bufs: dict, key, shape: Tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous float array of the given shape from a walk's buffer set.
+
+    The set keeps one flat array per key and grows it when a larger shape
+    asks; a smaller shape gets a view of its first elements. The contents
+    are whatever the key's last use left.
+    """
+    size = math.prod(shape)
+    buf = bufs.get(key)
+    if buf is None or buf.size < size:
+        buf = bufs[key] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _walk(tables, depth, lo, v, ry, pivot_min, pivot_max, counts, bufs):
     """Residual energies and rank flags of the candidates below a block of prefixes.
 
     The block is entries lo, lo+1, ... of level depth, the children of a run
@@ -379,9 +411,11 @@ def _walk(tables, depth, lo, v, ry, pivot_min, pivot_max, counts):
     extremes of the parents, which np.repeat by counts lines up with their
     children. v is never written at depth 1, where it may be a view of the
     caller's matrices; below it, the leaf's v is spent on its one deflation.
-    Yields (first candidate index, values, rank-ok flags) chunk by chunk in
-    lexicographic order, both of shape (s, candidates): one row per
-    measurement vector.
+    bufs is the walk's buffer set: each level gathers its children's
+    columns into ("child", depth), and the leaf takes its coefficients from
+    "coef". Yields (first candidate index, values, rank-ok flags) chunk by
+    chunk in lexicographic order, both of shape (s, candidates): one row
+    per measurement vector.
     """
     norms, div = _pivots(v)
     pivot_min = np.repeat(pivot_min, counts, axis=1)
@@ -389,23 +423,26 @@ def _walk(tables, depth, lo, v, ry, pivot_min, pivot_max, counts):
     pivot_max = np.repeat(pivot_max, counts, axis=1)
     np.maximum(pivot_max, norms, out=pivot_max)
     ry = np.repeat(ry, counts, axis=2)
-    leaf = depth > len(tables)
-    _deflate(ry, v, div, spent=leaf and depth > 1)
-    if leaf:
+    if depth > len(tables):
+        _deflate(ry, v, div, spent=depth > 1, coef=_buffer(bufs, "coef", div.shape))
         yield lo, _sq_norms(ry), _rank_ok(pivot_min, pivot_max)
         return
+    _deflate(ry, v, div)
     off, unc = tables[depth - 1]
     size = max(1, _WALK_SCORES // v.shape[1])
     split = depth == len(tables)  # the children are leaves
     for p_lo, p_hi, c_lo, c_hi in _chunks(off, lo, lo + v.shape[2], size, split):
         counts = np.diff(off[p_lo : p_hi + 1].clip(c_lo, c_hi))
         parents = slice(p_lo - lo, p_hi - lo)
-        child = v.take(unc[c_lo:c_hi] - lo, axis=2)
+        # mode="clip" (the indices are in range) lets take write into out
+        # directly; the default mode="raise" gathers into a temporary first
+        child = _buffer(bufs, ("child", depth), v.shape[:2] + (c_hi - c_lo,))
+        np.take(v, unc[c_lo:c_hi] - lo, axis=2, out=child, mode="clip")
         rep = np.repeat(v[:, :, parents], counts, axis=2)
         _deflate(child, rep, np.repeat(div[:, parents], counts, axis=1), spent=True)
         del rep  # spent, and not held across the recursion
         state = ry[:, :, parents], pivot_min[:, parents], pivot_max[:, parents]
-        yield from _walk(tables, depth + 1, c_lo, child, *state, counts)
+        yield from _walk(tables, depth + 1, c_lo, child, *state, counts, bufs)
 
 
 def _trial_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
@@ -415,6 +452,12 @@ def _trial_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
     t*s vectors; yields (first candidate index, values summed over each
     trial's s vectors, rank-ok flags over them) chunk by chunk, in
     lexicographic order of the supports, both of shape (t, candidates).
+
+    The walk checks a buffer set out of _IDLE_BUFFERS when it starts, or
+    makes a new one when none is idle, and returns it when it ends, closed
+    early too. So a walk that starts while another is suspended never
+    shares its buffers, and consecutive walks in one process reuse the
+    same memory instead of having it trimmed and faulted in again.
     """
     t, s, m, n = matrices.shape
     vectors = t * s
@@ -424,14 +467,18 @@ def _trial_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
     root = measurements.reshape(vectors, m).T[:, :, None]
     pivot_min, pivot_max = np.full((vectors, 1), np.inf), np.zeros((vectors, 1))
     tables = _prefix_tables(n, k)
-    for lo, value, ok in _walk(tables, 1, 0, ft, root, pivot_min, pivot_max, [n]):
-        c = value.shape[1]
-        v = value.reshape(t, s, c)
-        # sum adds each trial's s vectors in order across a chunk of several
-        # candidates but pairwise along a chunk of one, where a running sum
-        # keeps the order (and is slow across several)
-        total = v.sum(axis=1) if c > 1 else np.add.accumulate(v, axis=1)[:, -1]
-        yield lo, total, ok.reshape(t, s, c).all(axis=1)
+    bufs = _IDLE_BUFFERS.pop() if _IDLE_BUFFERS else {}
+    try:
+        for lo, value, ok in _walk(tables, 1, 0, ft, root, pivot_min, pivot_max, [n], bufs):
+            c = value.shape[1]
+            v = value.reshape(t, s, c)
+            # sum adds each trial's s vectors in order across a chunk of
+            # several candidates but pairwise along a chunk of one, where a
+            # running sum keeps the order (and is slow across several)
+            total = v.sum(axis=1) if c > 1 else np.add.accumulate(v, axis=1)[:, -1]
+            yield lo, total, ok.reshape(t, s, c).all(axis=1)
+    finally:
+        _IDLE_BUFFERS.append(bufs)
 
 
 def _select(

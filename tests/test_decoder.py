@@ -425,6 +425,65 @@ class TestWalkChunks:
             assert np.array_equal(np.concatenate([c[i] for c in chunks], axis=1), whole[i])
 
 
+def _stacks(seed, t, s, m, n):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((t, s, m, n)), rng.standard_normal((t, s, m))
+
+
+def _walk_chunks(matrices, measurements, k):
+    walk = decoder._trial_scores(matrices, measurements, k)
+    return [(lo, value.copy(), ok.copy()) for lo, value, ok in walk]
+
+
+def _same_chunks(a, b):
+    return len(a) == len(b) and all(
+        x[0] == y[0] and np.array_equal(x[1], y[1]) and np.array_equal(x[2], y[2]) for x, y in zip(a, b)
+    )
+
+
+class TestWalkBuffers:
+    """A walk's buffer set is its own while it runs and serves the next walk after it."""
+
+    # C(30, 4) = 27,405 candidates over two vectors: four chunks of at most 8,192
+    SHAPE = dict(t=1, s=2, m=5, n=30)
+
+    def test_a_suspended_walk_keeps_its_buffers(self):
+        first, other = _stacks(3, **self.SHAPE), _stacks(4, **self.SHAPE)
+        whole = _walk_chunks(*first, 4)
+        assert len(whole) > 2
+        walk = decoder._trial_scores(*first, 4)
+        lo, value, ok = next(walk)
+        # a walk over the same shapes runs to its end while the first is suspended
+        _walk_chunks(*other, 4)
+        assert _same_chunks([(lo, value, ok), *walk], whole)
+
+    def test_a_walk_closed_early_leaves_the_next_one_intact(self):
+        data = _stacks(5, **self.SHAPE)
+        whole = _walk_chunks(*data, 4)
+        walk = decoder._trial_scores(*_stacks(6, **self.SHAPE), 4)
+        next(walk)
+        next(walk)
+        walk.close()
+        assert _same_chunks(_walk_chunks(*data, 4), whole)
+
+    @pytest.mark.parametrize(
+        "large, small",
+        [
+            (dict(t=1, s=1, m=8, n=40), dict(t=1, s=1, m=4, n=12)),
+            (dict(t=3, s=4, m=9, n=24), dict(t=2, s=3, m=5, n=10)),
+        ],
+        ids=["one-vector", "several-vectors"],
+    )
+    def test_a_smaller_walk_after_a_larger_one(self, monkeypatch, large, small):
+        # the smaller walk reads views of the first elements of buffers grown
+        # for the larger one; a walk with no history gets fresh buffers
+        data = _stacks(7, **small)
+        monkeypatch.setattr(decoder, "_IDLE_BUFFERS", [])
+        fresh = _walk_chunks(*data, 3)
+        _walk_chunks(*_stacks(8, **large), 3)
+        assert _same_chunks(_walk_chunks(*data, 3), fresh)
+
+
 class TestDecodeTrials:
     def test_each_trial_gets_decodes_events(self):
         instances = [
