@@ -44,7 +44,7 @@ def sweep_measurements():
 
 def show_sample_requirements():
     params = ProblemParams(n=1024, k=16, m=64, s=4, sigma2=0.5, xmin2=1.0, rho=2.0)
-    rep = sufficiency_report(params, alpha=0.25)
+    rep = sufficiency_report(params)
     print("sample-complexity summary at N=1024, K=16, S=4, SNR=2:")
     print(SUFFICIENCY_CSV_HEADER)
     print(rep.csv_row())

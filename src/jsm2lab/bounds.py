@@ -5,7 +5,9 @@ side bounds the probability that exhaustive typicality decoding fails (the
 union of "true support not typical" and "some incorrect support typical"),
 the converse side lower-bounds what any decoder can achieve on the minimal
 amplitude class, and the sufficiency helpers expose the measurement counts
-under which the upper bound vanishes.
+under which the upper bound vanishes. Every closed form is evaluated at
+the least-favorable point of the minimum SNR: each vector misses x_min^2
+and is centered at alpha* = sigma^2 + x_min^2.
 
 All probabilities are computed and stored in the log domain (nats):
 exponents scale like S(M-K) and overflow doubles immediately otherwise.
@@ -24,7 +26,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -125,20 +127,12 @@ def t_value(params: ProblemParams) -> float:
     return t
 
 
-def _check_delta(delta: float, k: int, m: int, floor_sq: float) -> None:
-    limit = (1.0 - k / m) * floor_sq
-    if not 0.0 < delta < limit:
-        raise DeltaAdmissibilityError(
-            f"slack delta={delta} violates 0 < delta < (1 - K/M) * x_min^2 = {limit}"
-        )
-
-
 def _in_float_range(report):
-    """report(params, ...), raising DomainError where its closed forms leave float range."""
+    """report(params), raising DomainError where its closed forms leave float range."""
     @functools.wraps(report)
-    def checked(params: ProblemParams, *args, **kwargs):
+    def checked(params: ProblemParams):
         try:
-            return report(params, *args, **kwargs)
+            return report(params)
         except (OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"closed forms leave float range at {params}: {exc.args[-1]}") from None
     return checked
@@ -273,8 +267,6 @@ def log_mu_factors(params: ProblemParams) -> Tuple[float, float]:
     energy. The S-vector tail terms are exactly S times these.
     """
     k, m = params.k, params.m
-    if not m >= k + 1:
-        raise DomainError(f"need M >= K+1, got M={m}, K={k}")
     d1 = m * params.delta / ((m - k) * params.sigma2)
     t = t_value(params)
     log_mu_i = 0.5 * (m - k) * (math.log1p(d1) - d1)
@@ -282,33 +274,25 @@ def log_mu_factors(params: ProblemParams) -> Tuple[float, float]:
     return log_mu_i, log_mu_j
 
 
-def exp_ineq_bounds(
-    params: ProblemParams,
-    x_min_J_sq: float,
-    alpha_list: Sequence[float],
-) -> Tuple[float, float]:
-    """Exponential-form log bounds on the two failure events.
+def exp_ineq_bounds(params: ProblemParams) -> Tuple[float, float]:
+    """Exponential-form log bounds on the two failure events at the least-favorable point.
 
-    x_min_J_sq is the smallest per-vector energy missed by the candidate
-    support and alpha_list the per-vector centering energies (noise floor
-    plus missed energy). Requires the slack to satisfy
-    0 < delta < (1 - K/M) * x_min_J_sq. Returns (log_p1_exp, log_p2_exp).
+    Every vector misses x_min^2 and is centered at alpha* = sigma^2 + x_min^2,
+    so the S centering energies square-sum to S * alpha*^2. Requires the
+    slack 0 < delta < (1 - K/M) * x_min^2. Returns (log_p1_exp, log_p2_exp).
     """
     k, m, s = params.k, params.m, params.s
-    sigma2 = params.sigma2
+    sigma2, xmin2 = params.sigma2, params.xmin2
     delta = params.delta
-    if not x_min_J_sq > 0:
-        raise InvalidRangeError(f"x_min_J_sq must be > 0, got {x_min_J_sq}")
-    _check_delta(delta, k, m, x_min_J_sq)
-    alphas = np.asarray(alpha_list, dtype=float)
-    if alphas.shape != (s,):
-        raise InvalidRangeError(f"expected {s} energies, got shape {alphas.shape}")
-    if not (alphas > 0).all():
-        raise InvalidRangeError("centering energies must all be > 0")
+    limit = (1.0 - k / m) * xmin2
+    if not 0.0 < delta < limit:
+        raise DeltaAdmissibilityError(
+            f"slack delta={delta} violates 0 < delta < (1 - K/M) * x_min^2 = {limit}"
+        )
     log_p1 = -(s * delta**2 / (4.0 * sigma2**2)) * m**2 / (m - k + 2.0 * delta * m / sigma2)
-    gap = x_min_J_sq - m * delta / (m - k)
-    log_p2 = -(s**2 * (m - k) / (4.0 * float(np.sum(alphas**2)))) * gap**2
-    return float(log_p1), float(log_p2)
+    gap = xmin2 - m * delta / (m - k)
+    log_p2 = -(s**2 * (m - k) / (4.0 * (s * (sigma2 + xmin2) ** 2))) * gap**2
+    return log_p1, log_p2
 
 
 @_in_float_range
@@ -325,7 +309,7 @@ def upper_bound_perr(params: ProblemParams) -> BoundReport:
     sigma2, xmin2 = params.sigma2, params.xmin2
     delta = params.delta
     alpha_star = sigma2 + xmin2
-    log_p1_exp, log_p2_exp = exp_ineq_bounds(params, xmin2, [alpha_star] * s)
+    log_p1_exp, log_p2_exp = exp_ineq_bounds(params)
     d1 = m * delta / ((m - k) * sigma2)
     d2 = ((m - k) * sigma2 + m * delta) / ((m - k) * alpha_star)
     beta = 0.5 * s * (m - k)
@@ -511,7 +495,6 @@ class MmvOrderReport:
     mmv_low_noise: float
     jsm2: float
     ratio: float
-    comparison_basis: str = "order-only"
 
 
 def mmv_order_comparison(params: ProblemParams) -> MmvOrderReport:
@@ -532,21 +515,18 @@ def mmv_order_comparison(params: ProblemParams) -> MmvOrderReport:
 
 
 @_in_float_range
-def sufficiency_report(
-    params: ProblemParams,
-    alpha: Optional[float] = None,
-) -> SufficiencyReport:
+def sufficiency_report(params: ProblemParams) -> SufficiencyReport:
     """Evaluate every sufficiency and necessity condition at one point.
 
-    alpha defaults to the midpoint (1 - 1/rho)/2 of its admissible range.
-    When SNR_min cannot back that alpha the cor2 fields are NaN rather
-    than an error, so sweeps over low-SNR points still produce rows.
+    Corollary 2 is taken at the midpoint alpha = (1 - 1/rho)/2 of its
+    admissible range. When SNR_min cannot back that alpha the cor2 fields
+    are NaN rather than an error, so sweeps over low-SNR points still
+    produce rows.
     """
     t = t_value(params)
     nu2 = _nu2(t)
     nu1 = nu2 * (1.0 - math.log(params.k / params.n))
-    if alpha is None:
-        alpha = 0.5 * (1.0 - 1.0 / params.rho)
+    alpha = 0.5 * (1.0 - 1.0 / params.rho)
     threshold = cor2_snr_threshold(alpha, params.rho)
     if params.snr_min >= threshold:
         cor2_lin = sufficient_M_corollary2(params, alpha, Regime.LINEAR)

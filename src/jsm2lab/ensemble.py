@@ -109,11 +109,12 @@ class SparseEnsemble:
             raise InvalidDimensionError(
                 f"vector length {v.shape[1]} != ambient dim {self.support.ambient_dim}"
             )
-        on = self.support.as_array()
-        off = np.setdiff1d(np.arange(v.shape[1]), on)
-        if off.size and np.any(v[:, off] != 0.0):
+        on = np.zeros(v.shape[1], dtype=bool)
+        on[self.support.as_array()] = True
+        nonzero = v != 0.0
+        if nonzero[:, ~on].any():
             raise InvalidParameterError("vectors must be exactly zero off the common support")
-        if np.any(v[:, on] == 0.0):
+        if not nonzero[:, on].all():
             raise InvalidParameterError("vectors must be nonzero on every support index")
         object.__setattr__(self, "vectors", v)
 

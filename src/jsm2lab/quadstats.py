@@ -22,6 +22,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .bounds import log_binom
 from .decoder import residual_energies
 from .errors import DomainError, InvalidRangeError
 from .seeding import Seed, as_rng
@@ -185,10 +186,7 @@ def _binom_isf(q: float, n: int, p: float) -> int:
     mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
     hi = min(n, math.ceil(mean + 13.0 * sd + 40.0))
     lo = max(0, math.floor(mean) - 1)
-    log_pmf = (
-        math.lgamma(n + 1) - math.lgamma(hi + 1) - math.lgamma(n - hi + 1)
-        + hi * math.log(p) + (n - hi) * math.log1p(-p)
-    )
+    log_pmf = log_binom(n, hi) + hi * math.log(p) + (n - hi) * math.log1p(-p)
     k = np.arange(hi, lo, -1, dtype=float)
     ratios = k * (1.0 - p) / ((n - k + 1.0) * p)
     # pmf(hi), pmf(hi-1), ..., pmf(lo) summed in turn: tail[j] = P(X > hi - j - 1)

@@ -153,7 +153,7 @@ class TestExpForm:
             p = ProblemParams(
                 n=10, k=2, m=8, s=4, sigma2=1.0, xmin2=10.0, rho=2.0, delta_override=d
             )
-            lp1, _ = exp_ineq_bounds(p, 10.0, [11.0] * 4)
+            lp1, _ = exp_ineq_bounds(p)
             vals.append(lp1)
         assert all(v < 0.0 for v in vals)
         assert vals[0] < vals[1] < vals[2]
@@ -161,7 +161,7 @@ class TestExpForm:
 
     def test_homogeneous_energies_collapse(self):
         p = HAND
-        lp1, lp2 = exp_ineq_bounds(p, 10.0, [11.0, 11.0, 11.0, 11.0])
+        lp1, lp2 = exp_ineq_bounds(p)
         gap = 10.0 - p.m * p.delta / (p.m - p.k)
         direct = -(p.s * (p.m - p.k) / (4.0 * 11.0**2)) * gap**2
         assert lp2 == pytest.approx(direct, rel=1e-12)
@@ -170,22 +170,21 @@ class TestExpForm:
 
     def test_dominates_chernoff_form(self):
         # the exponential forms are weaker, so their logs sit above
+        # each draw also at S = 100 and 1,000, where S * alpha*^2 stands in
+        # for a sum of S squares
         rng = np.random.default_rng(406)
         for _ in range(200):
-            p = _random_params(rng)
-            rep = upper_bound_perr(p)
-            assert rep.log_p_d1 <= rep.log_p1_exp + 1e-12
-            assert rep.log_p_d2 <= rep.log_p2_exp + 1e-12
+            drawn = _random_params(rng)
+            for p in (drawn, replace(drawn, s=100), replace(drawn, s=1000)):
+                rep = upper_bound_perr(p)
+                assert rep.log_p_d1 <= rep.log_p1_exp + 1e-12
+                assert rep.log_p_d2 <= rep.log_p2_exp + 1e-12
 
     def test_input_validation(self):
-        with pytest.raises(InvalidRangeError):
-            exp_ineq_bounds(HAND, -1.0, [11.0] * 4)
-        with pytest.raises(InvalidRangeError):
-            exp_ineq_bounds(HAND, 10.0, [11.0] * 3)
-        with pytest.raises(InvalidRangeError):
-            exp_ineq_bounds(HAND, 10.0, [11.0, 11.0, -2.0, 11.0])
-        with pytest.raises(DeltaAdmissibilityError):
-            exp_ineq_bounds(HAND, 1e-3, [11.0] * 4)
+        # the limit at HAND is (1 - K/M) * x_min^2 = 7.5
+        for d in (0.0, 7.5, 100.0):
+            with pytest.raises(DeltaAdmissibilityError):
+                exp_ineq_bounds(replace(HAND, delta_override=d))
 
 
 # rho=4, xmin2=2, sigma2=1 places t exactly at 1/2
@@ -451,7 +450,6 @@ class TestMmvComparison:
         assert rep.mmv_low_noise == pytest.approx(4.0 * math.log(256.0) / 4.0)
         assert rep.jsm2 == pytest.approx(sufficient_M(p))
         assert rep.ratio == pytest.approx(rep.mmv_low_noise / rep.jsm2)
-        assert isinstance(rep.comparison_basis, str) and rep.comparison_basis
 
     def test_gain_grows_with_vectors(self):
         ratios = []
@@ -465,7 +463,7 @@ class TestMmvComparison:
 
 class TestSufficiencyReport:
     def test_internal_consistency(self):
-        rep = sufficiency_report(T_HALF, alpha=0.25)
+        rep = sufficiency_report(T_HALF)
         assert rep.nu1 == pytest.approx(rep.nu2 * (1.0 - math.log(16.0 / 1024.0)), rel=1e-12)
         assert rep.M_suff_sublinear == pytest.approx(sufficient_M(T_HALF), rel=1e-12)
         assert rep.M_suff_linear == pytest.approx(
@@ -475,13 +473,14 @@ class TestSufficiencyReport:
             sufficient_M_corollary1(T_HALF), rel=1e-12
         )
         assert rep.M_necessary == pytest.approx(necessary_M(T_HALF), rel=1e-12)
-        assert rep.snr_threshold_cor2 == pytest.approx(cor2_snr_threshold(0.25, 4.0))
+        # the midpoint alpha of (0, 1 - 1/rho) at rho = 4
+        assert rep.snr_threshold_cor2 == pytest.approx(cor2_snr_threshold(0.375, 4.0))
         assert rep.S_cor3 > 0.0
 
     def test_cor2_nan_below_threshold(self):
         p = ProblemParams(n=64, k=4, m=16, s=2, sigma2=25.0, xmin2=1.0, rho=2.0)
-        rep = sufficiency_report(p, alpha=0.4)
-        assert p.snr_min < cor2_snr_threshold(0.4, 2.0)
+        rep = sufficiency_report(p)
+        assert p.snr_min < cor2_snr_threshold(0.25, 2.0)
         assert math.isnan(rep.M_suff_cor2_linear)
         assert math.isnan(rep.M_suff_cor2_sublinear)
 
@@ -517,7 +516,7 @@ class TestCsvRows:
 
     def test_sufficiency_report_shape(self):
         header_cols = SUFFICIENCY_CSV_HEADER.split(",")
-        row = sufficiency_report(T_HALF, alpha=0.25).csv_row()
+        row = sufficiency_report(T_HALF).csv_row()
         cells = row.split(",")
         assert len(cells) == len(header_cols)
         parsed = dict(zip(header_cols, (float(c) for c in cells)))

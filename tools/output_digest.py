@@ -15,9 +15,12 @@ print identical lines, so
 is empty. The set covers the Monte Carlo commands (a sweep over M with a
 worker pool, a sweep over SNR whose grid values are given out of order,
 four simulate points, one with redrawn uniform amplitudes, and find-m
-with one and two workers), bounds at three points (one where the
+with one and two workers), bounds at six points (one where the
 necessary measurement count is vacuous, one where the Corollary 2
-columns are NaN), verify at three seeds (one at 200,000 samples, one at
+columns are NaN, one at S=100, where S equal centering energies
+square-sum to S alpha*^2, one at x_min^2 = 0.37 and rho = 7, where
+Corollary 3's vector count hangs on how its canonical slack is written,
+and one at SNR 1e-4, where log(1 + x) - x cancels), verify at three seeds (one at 200,000 samples, one at
 the 2,000-sample floor, where a sampler's whole stack is smaller than one
 residual batch), two
 simulate points at the decoder walk's edge depths: K=1, where the raw
@@ -94,6 +97,9 @@ RUNS: Tuple[Tuple[str, List[str], Optional[str]], ...] = (
     ("bounds", "bounds --n 64 --k 4 --s 2 --snr 1 --m 5".split(), None),
     ("bounds-vacuous-necessary", "bounds --n 2 --k 1 --m 2 --s 1 --snr 10".split(), None),
     ("bounds-cor2-nan", "bounds --n 64 --k 4 --m 16 --s 2 --snr 0.5".split(), None),
+    ("bounds-s100", "bounds --n 6 --k 1 --m 2 --s 100 --snr 1e4 --rho 1.2".split(), None),
+    ("bounds-xmin2", "bounds --n 6 --k 1 --m 2 --s 1 --snr 1 --rho 7 --xmin2 0.37".split(), None),
+    ("bounds-low-snr", "bounds --n 6 --k 2 --m 4 --s 1 --snr 1e-4".split(), None),
     ("verify", "verify --seed 7 --trials 20000".split(), None),
     ("verify-seed11", "verify --seed 11 --trials 200000".split(), None),
     ("verify-floor", "verify --seed 5 --trials 1".split(), None),
