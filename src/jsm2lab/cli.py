@@ -19,7 +19,6 @@ import math
 import sys
 import time
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from typing import ContextManager, Dict, List, NoReturn, Optional, Sequence, TextIO, Tuple
 
@@ -513,7 +512,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # value it let through that a computation then refused
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except (OSError, BrokenProcessPool) as exc:
+        except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

@@ -21,25 +21,29 @@ a worker runs; inside it, trials are drawn and scored in sub-blocks of
 decoder.trials_per_walk trials, one sampler call per role and a single
 walk of the decoder per sub-block. Matrices and noise are sequential
 standard-normal draws, so the sub-block size does not change them;
-redrawn signals are drawn once per seed block. A run, whether one plan,
-a whole sweep or every probe of find_M_star, opens one worker pool
-(_workers) of min(jobs, seed blocks) processes, none when that is 1, and
-maps all of its (plan, seed block) units over it, then sums
-each plan's counters in plan order. A sweep returns one row per plan in
+redrawn signals are drawn once per seed block. A map over the (plan, seed
+block) units of a run, whether one plan, a whole sweep or one probe of
+find_M_star, has min(jobs, units) workers. The calling process is worker
+0 and forks the others (_fork_join); every worker claims the next
+unclaimed unit from one shared list until none is left. The counters of
+each plan are summed in plan order. A sweep returns one row per plan in
 the caller's order; the jsm2lab sweep command orders its grid.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import itertools
 import math
+import os
+import pickle
+import signal
+import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,32 +236,105 @@ def _run_block(args: Tuple[TrialPlan, int]) -> np.ndarray:
     return counts
 
 
-@contextlib.contextmanager
-def _workers(jobs: int, units: int) -> Iterator[Optional[ProcessPoolExecutor]]:
-    """The worker pool of a run of `units` work units: min(jobs, units) processes.
+def _claim(units: Sequence[Tuple[TrialPlan, int]], claims: int) -> Dict[int, np.ndarray]:
+    """Run the units whose indices this process reads from the claim file, until its end.
 
-    Yields None, and starts no process, when that minimum is at most 1.
-    Raises InvalidRangeError for jobs < 1, whatever the work.
+    Every worker reads the one open file description `claims`, whose
+    offset they share, so each 4-byte index is read by exactly one of them.
+    """
+    done = {}
+    while index := os.read(claims, 4):
+        i = int.from_bytes(index, "little")
+        done[i] = _run_block(units[i])
+    return done
+
+
+def _child(units: Sequence[Tuple[TrialPlan, int]], claims: int, pipe: int) -> None:
+    """The body of a forked worker: its counts, or what it raised, pickled into `pipe` once.
+
+    Leaves through os._exit in every case, so that nothing of the caller's
+    (buffered output, open files, atexit handlers) runs a second time.
+    """
+    try:
+        try:
+            payload = pickle.dumps(_claim(units, claims))
+        except BaseException as exc:
+            payload = pickle.dumps(exc)
+        with open(pipe, "wb") as handle:
+            handle.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _received(pid: int, payload: bytes, status: int) -> Dict[int, np.ndarray]:
+    """The counts a reaped child sent; re-raises what the child raised instead."""
+    if not payload:
+        code = os.waitstatus_to_exitcode(status)
+        raise ChildProcessError(f"worker process {pid} ended (status {code}) without its counts")
+    sent = pickle.loads(payload)
+    if isinstance(sent, BaseException):
+        raise sent
+    return sent
+
+
+def _fork_join(units: Sequence[Tuple[TrialPlan, int]], workers: int) -> List[np.ndarray]:
+    """Every unit's counters, in unit order, from this process and workers - 1 forked ones.
+
+    The unit indices sit in an unlinked temporary file, and every process
+    claims the next one until the file ends (_claim). A child's exception
+    is re-raised here; a child that ends without its counts raises
+    ChildProcessError. When this process raises, it kills its children
+    first, and every child is reaped before this returns or raises.
+    """
+    children = {}  # pid -> the read end of its pipe
+    with tempfile.TemporaryFile() as claims:
+        claims.write(np.arange(len(units), dtype="<u4").tobytes())
+        claims.flush()
+        claims.seek(0)
+        try:
+            for _ in range(workers - 1):
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    os.close(read_end)
+                    _child(units, claims.fileno(), write_end)
+                os.close(write_end)
+                children[pid] = open(read_end, "rb")
+            done = _claim(units, claims.fileno())
+            for pid, pipe in list(children.items()):
+                payload = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[pid]
+                pipe.close()
+                done.update(_received(pid, payload, status))
+        except BaseException:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid, pipe in children.items():
+                pipe.close()
+                os.waitpid(pid, 0)
+    return [done[i] for i in range(len(units))]
+
+
+def _run_plans(plans: Sequence[TrialPlan], jobs: int) -> List[RunResult]:
+    """The event-rate estimates of every plan, in plan order.
+
+    Every (plan, seed block) unit of the run goes to one map over
+    min(jobs, units) workers: in this process alone when that is 1, else
+    over this process and forked ones (_fork_join). Budgets are the
+    caller's to check first. Raises InvalidRangeError for jobs < 1, whatever
+    the work.
     """
     if jobs < 1:
         raise InvalidRangeError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, units)
-    if workers <= 1:
-        yield None
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool
-
-
-def _run_plans(plans: Sequence[TrialPlan], pool: Optional[ProcessPoolExecutor]) -> List[RunResult]:
-    """The event-rate estimates of every plan, in plan order.
-
-    Every (plan, seed block) unit of the run goes to one map: over the
-    pool, or in this process when there is none. Budgets are the caller's
-    to check first. A crashed pool propagates.
-    """
     units = [(plan, block) for plan in plans for block in range(_blocks(plan))]
-    parts = (map if pool is None else pool.map)(_run_block, units)
+    workers = min(jobs, len(units))
+    if workers > 1 and not hasattr(os, "fork"):
+        warnings.warn(f"no os.fork here: {len(units)} seed blocks run in this process only")
+        workers = 1
+    parts = iter(_fork_join(units, workers) if workers > 1 else map(_run_block, units))
     results = []
     for plan in plans:
         counts = sum(itertools.islice(parts, _blocks(plan)), np.zeros(4, dtype=np.int64))
@@ -268,15 +345,14 @@ def _run_plans(plans: Sequence[TrialPlan], pool: Optional[ProcessPoolExecutor]) 
 def run_trials(plan: TrialPlan, jobs: int = 1) -> RunResult:
     """Estimate all four event rates under the given plan.
 
-    jobs > 1 fans fixed-size trial blocks over worker processes; the block
-    split and per-block streams are invariant to jobs, so output is
-    bit-identical for any worker count. Raises EnumerationBudgetError
-    before running anything when C(N, K) exceeds the decoder's
-    ENUMERATION_CAP.
+    jobs > 1 fans fixed-size trial blocks over this process and forked
+    workers; the block split and per-block streams are invariant to jobs,
+    so output is bit-identical for any worker count. Raises
+    EnumerationBudgetError before running anything when C(N, K) exceeds
+    the decoder's ENUMERATION_CAP.
     """
     check_enumeration_budget(plan.params)
-    with _workers(jobs, _blocks(plan)) as pool:
-        return _run_plans([plan], pool)[0]
+    return _run_plans([plan], jobs)[0]
 
 
 # ---- Sweeps ---------------------------------------------------------------
@@ -330,11 +406,12 @@ MC_CSV_COLUMNS = [column for column, _ in _SWEEP_COLUMNS]
 def sweep(plans: Sequence[TrialPlan], jobs: int = 1) -> List[SweepRow]:
     """Run every plan and join estimates with analytic bounds, one row per plan in order.
 
-    All grid points run as one job over one worker pool (jobs > 1). A grid
-    point that cannot run (C(N, K) over the decoder's ENUMERATION_CAP) or
-    has no bound (inadmissible slack, ...) becomes a row with the error
-    recorded instead of aborting the remaining points; run-level failures
-    (a bad jobs count, a crashed worker pool) propagate.
+    The seed blocks of all grid points are one map over min(jobs, blocks)
+    workers. A grid point that cannot run (C(N, K) over the decoder's
+    ENUMERATION_CAP) or has no bound (inadmissible slack, ...) becomes a
+    row with the error recorded instead of aborting the remaining points;
+    run-level failures (a bad jobs count, a worker process that dies)
+    propagate.
     """
     budget_errors: List[Optional[str]] = []
     for plan in plans:
@@ -344,8 +421,7 @@ def sweep(plans: Sequence[TrialPlan], jobs: int = 1) -> List[SweepRow]:
         except EnumerationBudgetError as exc:  # recorded per-row by contract
             budget_errors.append(f"trials: {exc}")
     runnable = [plan for plan, err in zip(plans, budget_errors) if err is None]
-    with _workers(jobs, sum(map(_blocks, runnable))) as pool:
-        results = iter(_run_plans(runnable, pool))
+    results = iter(_run_plans(runnable, jobs))
     rows: List[SweepRow] = []
     for plan, budget_error in zip(plans, budget_errors):
         errors = [budget_error] if budget_error else []
@@ -423,7 +499,8 @@ def find_M_star(plan: TrialPlan, target: float, jobs: int = 1) -> MStarResult:
     across calls share their randomness. Assumes the failure
     rate is non-increasing in M; when the evaluated estimates violate that,
     the result flags it and the bracket is what bisection actually pinned
-    down.
+    down. Each probe is one map over min(jobs, seed blocks) workers, the
+    forked ones started afresh for that probe.
     """
     if not 0.0 < target <= 1.0:
         raise InvalidRangeError(f"target must lie in (0, 1], got {target}")
@@ -435,26 +512,23 @@ def find_M_star(plan: TrialPlan, target: float, jobs: int = 1) -> MStarResult:
         pts = [evaluations[m].point for m in sorted(evaluations)]
         return all(a >= b for a, b in zip(pts, pts[1:]))
 
-    # one pool serves every probe of the search; each probe has the plan's blocks
-    with _workers(jobs, _blocks(plan)) as pool:
+    def probe(m: int) -> float:
+        point = replace(plan, params=replace(plan.params, m=m))
+        evaluations[m] = _run_plans([point], jobs)[0].event_failure
+        return evaluations[m].point
 
-        def probe(m: int) -> float:
-            point = replace(plan, params=replace(plan.params, m=m))
-            evaluations[m] = _run_plans([point], pool)[0].event_failure
-            return evaluations[m].point
-
-        lo, hi = plan.params.k + 1, plan.params.n
-        if probe(lo) <= target:
-            return MStarResult(lo, False, None, evaluations)
-        if lo == hi or probe(hi) > target:
-            return MStarResult(None, not monotone_ok(), None, evaluations)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if probe(mid) <= target:
-                hi = mid
-            else:
-                lo = mid
-        return MStarResult(hi, not monotone_ok(), (lo, hi), evaluations)
+    lo, hi = plan.params.k + 1, plan.params.n
+    if probe(lo) <= target:
+        return MStarResult(lo, False, None, evaluations)
+    if lo == hi or probe(hi) > target:
+        return MStarResult(None, not monotone_ok(), None, evaluations)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if probe(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return MStarResult(hi, not monotone_ok(), (lo, hi), evaluations)
 
 
 def trend_residual(values: Sequence[float]) -> float:

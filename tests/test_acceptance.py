@@ -43,7 +43,7 @@ def _verdict(tag: str, ok: bool, detail: str) -> bool:
 def test_01_simulated_failure_never_exceeds_bound():
     # 10^4 trials on every (N, M, S, SNR) grid point; the clamped analytic
     # bound plus the Wilson half-width must sit above each estimate. All 24
-    # points run as one sweep over one two-worker pool
+    # points run as one sweep, one map over two workers
     start = time.monotonic()
     grid = list(itertools.product((8, 12), (4, 6, 8), (1, 4), (10.0, 100.0)))
     plans = [

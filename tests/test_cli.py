@@ -1,8 +1,8 @@
 import csv
 import json
 import math
+import os
 import shlex
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -240,7 +240,7 @@ class TestCommands:
         ["find-m", "--n", "10", "--k", "2", "--s", "8", "--snr", "30", "--target", "0.1"],
     ])
     def test_output_bytes_identical_across_jobs(self, argv, tmp_path, capsys):
-        # three seed blocks, so --jobs 2 runs them over a pool
+        # three seed blocks, so --jobs 2 forks a second worker
         argv = argv + ["--trials", "600", "--seed", "9"]
         stdout, written = [], []
         for jobs in ("1", "2"):
@@ -306,7 +306,7 @@ class TestCommands:
 
     def test_exit_code_1_on_broken_worker_pool(self, monkeypatch, capsys):
         def crash(config):
-            raise BrokenProcessPool("a worker process terminated abruptly")
+            raise ChildProcessError("worker process 4321 ended (status -9) without its counts")
 
         monkeypatch.setattr(jsm2lab.cli, "run", crash)
         rc = main(["simulate", "--n", "6", "--k", "2", "--m", "4", "--s", "1"])
@@ -315,30 +315,44 @@ class TestCommands:
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_exit_code_1_on_broken_worker_pool_inside_a_run(self, monkeypatch, capsys):
-        # a crashed pool is a run-level failure, not a sweep row's error
-        class CrashingPool:
-            def __init__(self, max_workers):
-                pass
+        # a worker process that dies is a run-level failure, not a sweep row's error;
+        # the caller runs its block only once the child has begun its own
+        caller, (began, child_began) = os.getpid(), os.pipe()
+        run_block = jsm2lab.montecarlo._run_block
 
-            def __enter__(self):
-                return self
+        def block(unit):
+            if os.getpid() != caller:
+                os.write(child_began, b"x")
+                os._exit(3)
+            os.read(began, 1)
+            return run_block(unit)
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, units):
-                raise BrokenProcessPool("a worker process terminated abruptly")
-
-        monkeypatch.setattr(jsm2lab.montecarlo, "ProcessPoolExecutor", CrashingPool)
-        # two seed blocks, so the run needs the pool
-        rc = main(
-            ["simulate", "--n", "6", "--k", "2", "--m", "4", "--s", "1",
-             "--trials", "300", "--jobs", "2"]
-        )
+        monkeypatch.setattr(jsm2lab.montecarlo, "_run_block", block)
+        try:
+            # two seed blocks, so the run forks one child
+            rc = main(
+                ["simulate", "--n", "6", "--k", "2", "--m", "4", "--s", "1",
+                 "--trials", "300", "--jobs", "2"]
+            )
+        finally:
+            os.close(began)
+            os.close(child_began)
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: worker process") and captured.err.count("\n") == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_warning_line_without_fork(self, monkeypatch, capsys):
+        argv = ["simulate", "--n", "6", "--k", "2", "--m", "4", "--s", "1", "--trials", "300"]
+        assert main(argv + ["--jobs", "1"]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.delattr(os, "fork")
+        assert main(argv + ["--jobs", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err.startswith("warning: no os.fork") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "flags, code",

@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from jsm2lab.ensemble import (
     sample_sparse_ensemble,
     sample_support,
 )
-from jsm2lab.errors import InvalidParameterError, InvalidRangeError
+from jsm2lab.errors import InvalidParameterError, InvalidRangeError, RankDeficientError
 from jsm2lab.montecarlo import (
     MC_CSV_COLUMNS,
     EstimateWithCI,
@@ -38,6 +40,36 @@ from jsm2lab.montecarlo import (
 from jsm2lab.seeding import ROLE_MATRIX, ROLE_NOISE, ROLE_SIGNAL, ROLE_SUPPORT, derive_rng
 
 Z = 1.959963984540054
+
+
+@pytest.fixture
+def forks_per_map(monkeypatch):
+    """The children that each map of the test forks, one entry per map, in order."""
+    maps, children = [], []
+    fork, run_plans = os.fork, montecarlo._run_plans
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    def counting_run_plans(plans, jobs):
+        before = len(children)
+        try:
+            return run_plans(plans, jobs)
+        finally:
+            maps.append(len(children) - before)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(montecarlo, "_run_plans", counting_run_plans)
+    return maps
+
+
+def assert_no_children_left():
+    """No child of this process is running or left as a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestWilson:
@@ -313,20 +345,13 @@ class TestSweep:
         b = sweep_csv_lines(sweep(plans, jobs=2))
         assert a == b
 
-    def test_one_pool_serves_the_whole_sweep(self, monkeypatch):
-        pools = []
-
-        class CountingPool(montecarlo.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    def test_one_pool_serves_the_whole_sweep(self, forks_per_map):
+        # six seed blocks over three grid points are one map: one child at jobs=2
         plans = self._plans([3, 5, 7], trials=300)
-        pooled = sweep_csv_lines(sweep(plans, jobs=2))
-        assert len(pools) == 1
-        assert pooled == sweep_csv_lines(sweep(plans, jobs=1))
-        assert len(pools) == 1
+        forked = sweep_csv_lines(sweep(plans, jobs=2))
+        assert forks_per_map == [1]
+        assert forked == sweep_csv_lines(sweep(plans, jobs=1))
+        assert forks_per_map == [1, 0]
 
     def test_write_csv_and_metadata(self, tmp_path):
         rows = sweep(self._plans([3]))
@@ -360,7 +385,7 @@ class TestSweep:
         assert TrialPlan(ProblemParams(**point), **record) == rows[0].plan
 
 
-def _pool_plan(trials, params=ProblemParams(n=6, k=2, m=4, s=1, sigma2=1.0, xmin2=1.0)):
+def _small_plan(trials, params=ProblemParams(n=6, k=2, m=4, s=1, sigma2=1.0, xmin2=1.0)):
     return TrialPlan(params, trials, master_seed=3)
 
 
@@ -368,45 +393,118 @@ _OVER_BUDGET = ProblemParams(n=40, k=10, m=20, s=1, sigma2=1.0, xmin2=1.0)
 
 
 class TestWorkerPool:
-    """A run's pool has min(jobs, seed blocks) workers, and there is none for one."""
+    """A map over n seed blocks forks min(jobs, n) - 1 children, and none for one block."""
 
     # 300 trials are two seed blocks, 100 one; a grid point over the budget has none
     @pytest.mark.parametrize(
-        "run, work, workers",
+        "run, work, children",
         [
-            (run_trials, _pool_plan(300), [2]),
-            (run_trials, _pool_plan(100), []),
-            (sweep, [_pool_plan(100)] * 2, [2]),
-            (sweep, [_pool_plan(100), _pool_plan(100, _OVER_BUDGET)], []),
-            (functools.partial(find_M_star, target=0.5), _pool_plan(300), [2]),
-            (functools.partial(find_M_star, target=0.5), _pool_plan(100), []),
+            (run_trials, _small_plan(300), 1),
+            (run_trials, _small_plan(100), 0),
+            (sweep, [_small_plan(100)] * 2, 1),
+            (sweep, [_small_plan(100), _small_plan(100, _OVER_BUDGET)], 0),
+            (functools.partial(find_M_star, target=0.5), _small_plan(300), 1),
+            (functools.partial(find_M_star, target=0.5), _small_plan(100), 0),
         ],
         ids=[f"{run}-{blocks}" for run in ("run_trials", "sweep", "find_M_star") for blocks in (2, 1)],
     )
-    def test_pool_size_follows_the_work(self, run, work, workers, monkeypatch):
-        sizes = []
+    def test_pool_size_follows_the_work(self, run, work, children, forks_per_map):
+        forked = run(work, jobs=6)
+        maps = list(forks_per_map)
+        forks_per_map.clear()
+        assert forked == run(work, jobs=1)
+        assert maps and maps == [children] * len(forks_per_map)
+        assert forks_per_map == [0] * len(maps)
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+    @pytest.mark.parametrize("jobs, children", [(2, 1), (3, 2), (6, 2)])
+    def test_children_are_capped_by_jobs_and_blocks(self, jobs, children, forks_per_map):
+        # 600 trials are three seed blocks
+        assert run_trials(_small_plan(600), jobs=jobs) == run_trials(_small_plan(600), jobs=1)
+        assert forks_per_map == [children, 0]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, units):
-                return map(fn, units)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
-        assert run(work, jobs=6) == run(work, jobs=1)
-        assert sizes == workers
-
-    @pytest.mark.parametrize("run, work", [(sweep, []), (run_trials, _pool_plan(100))])
+    @pytest.mark.parametrize("run, work", [(sweep, []), (run_trials, _small_plan(100))])
     def test_jobs_below_one_is_refused_whatever_the_work(self, run, work):
         with pytest.raises(InvalidRangeError, match="jobs"):
             run(work, jobs=0)
+
+    def test_without_fork_the_caller_runs_every_block(self, monkeypatch):
+        expected = run_trials(_small_plan(300), jobs=1)
+        monkeypatch.delattr(os, "fork")
+        with pytest.warns(UserWarning, match="no os.fork") as caught:
+            assert run_trials(_small_plan(300), jobs=2) == expected
+        assert len(caught) == 1
+
+
+def _patch_blocks(monkeypatch, in_child, in_caller, begun):
+    """Run `in_child(unit)` in place of _run_block in forked children, and in the caller
+    run `in_caller(unit)` only once `begun` children have started a unit of theirs.
+
+    A child writes a byte to a pipe before it starts; the caller reads `begun`
+    bytes from it first, so the split of units between processes is fixed.
+    """
+    caller = os.getpid()
+    read_end, write_end = os.pipe()
+
+    def block(unit):
+        if os.getpid() != caller:
+            os.write(write_end, b"x")
+            return in_child(unit)
+        for _ in range(begun):
+            os.read(read_end, 1)
+        return in_caller(unit)
+
+    monkeypatch.setattr(montecarlo, "_run_block", block)
+    return read_end, write_end
+
+
+class TestForkJoin:
+    """Failures in a forked map reach the caller, and every child is reaped."""
+
+    @pytest.fixture(autouse=True)
+    def _pipes(self):
+        self.pipes = ()
+        yield
+        for fd in self.pipes:
+            os.close(fd)
+        assert_no_children_left()
+
+    def test_a_child_that_dies_raises_child_process_error(self, monkeypatch):
+        self.pipes = _patch_blocks(monkeypatch, lambda unit: os._exit(3), montecarlo._run_block, 1)
+        with pytest.raises(ChildProcessError, match=r"status 3\) without its counts"):
+            run_trials(_small_plan(300), jobs=2)
+
+    def test_a_childs_exception_reaches_the_caller_with_its_type(self, monkeypatch):
+        def fail(unit):
+            raise RankDeficientError("rank 1 in a child's block")
+
+        self.pipes = _patch_blocks(monkeypatch, fail, montecarlo._run_block, 1)
+        with pytest.raises(RankDeficientError, match="rank 1 in a child's block"):
+            run_trials(_small_plan(300), jobs=2)
+
+    def test_the_callers_exception_kills_its_children(self, monkeypatch):
+        def fail(unit):
+            raise RankDeficientError("rank 1 in the caller's block")
+
+        self.pipes = _patch_blocks(monkeypatch, lambda unit: time.sleep(60), fail, 2)
+        start = time.monotonic()
+        with pytest.raises(RankDeficientError, match="the caller's block"):
+            run_trials(_small_plan(600), jobs=3)
+        # the children were killed, not waited for through their minute
+        assert time.monotonic() - start < 30
+
+    def test_every_unit_runs_exactly_once(self, monkeypatch, tmp_path):
+        log = os.open(tmp_path / "runs", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        self.pipes = (log,)
+
+        def block(unit):
+            os.write(log, unit.to_bytes(4, "little"))
+            return np.array([unit, 0, 0, 0])
+
+        monkeypatch.setattr(montecarlo, "_run_block", block)
+        parts = montecarlo._fork_join(range(20_000), 3)
+        assert [int(p[0]) for p in parts] == list(range(20_000))
+        runs = np.frombuffer((tmp_path / "runs").read_bytes(), dtype="<u4")
+        assert np.array_equal(np.sort(runs), np.arange(20_000))
 
 
 class TestFindMStar:
@@ -441,22 +539,14 @@ class TestFindMStar:
             with pytest.raises(InvalidRangeError):
                 find_M_star(TrialPlan(p, trials=8, master_seed=5), target=bad)
 
-    def test_one_pool_serves_the_whole_search(self, monkeypatch):
-        pools = []
-
-        class CountingPool(montecarlo.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    def test_each_probe_forks_its_own_children(self, forks_per_map):
         p = ProblemParams(n=10, k=2, m=3, s=8, sigma2=1 / 30, xmin2=1.0, rho=2.0)
         plan = TrialPlan(p, trials=600, master_seed=9)
-        pooled = find_M_star(plan, target=0.1, jobs=2)
-        assert len(pools) == 1
-        assert pooled.bracket is not None and len(pooled.evaluations) >= 4
-        assert pooled == find_M_star(plan, target=0.1, jobs=1)
-        assert len(pools) == 1
+        forked = find_M_star(plan, target=0.1, jobs=2)
+        # three seed blocks per probe: one child each at jobs=2
+        assert forks_per_map == [1] * len(forked.evaluations)
+        assert forked.bracket is not None and len(forked.evaluations) >= 4
+        assert forked == find_M_star(plan, target=0.1, jobs=1)
 
     def test_same_seed_shares_randomness_across_probes(self):
         p = ProblemParams(n=8, k=1, m=2, s=4, sigma2=0.01, xmin2=1.0, rho=2.0)

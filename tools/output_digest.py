@@ -12,8 +12,8 @@ print identical lines, so
 
     diff <(python3 tools/output_digest.py PARENT) <(python3 tools/output_digest.py CHANGE)
 
-is empty. The set covers the Monte Carlo commands (a sweep over M with a
-worker pool, a sweep over SNR whose grid values are given out of order,
+is empty. The set covers the Monte Carlo commands (a sweep over M with two
+workers, a sweep over SNR whose grid values are given out of order,
 four simulate points, one with redrawn uniform amplitudes, and find-m
 with one and two workers), bounds at six points (one where the
 necessary measurement count is vacuous, one where the Corollary 2
