@@ -12,6 +12,11 @@ generating function. Direct samplers and an empirical check of the
 exponential tail inequalities used by the closed-form bounds complete the
 module. The decoder and bound tests lean on these as independent
 references.
+
+The samplers work in chunks of _SAMPLE_CHUNK scalar draws. The z samplers'
+values depend on the chunk size, since each chunk draws its blocks before
+its noise. sample_quadform's draws do not, and its values depend on it only
+in the last bit, and only for unequal eigenvalues.
 """
 
 from __future__ import annotations
@@ -27,7 +32,13 @@ from .decoder import residual_energies
 from .errors import DomainError, InvalidRangeError
 from .seeding import Seed, as_rng
 
-_SAMPLE_CHUNK = 1 << 22  # scalar draws per chunk when sampling tail sums
+# Scalar draws per sampler chunk: one residual_energies batch
+# (decoder._RESIDUAL_BATCH_SCALARS), so a z sampler's blocks and measurements,
+# at most 512 KB, are drawn and reduced while still in L2. Part of the z
+# samplers' bytes, since each chunk draws all its blocks before its noise; in
+# sample_quadform it moves only a last bit, and only for unequal eigenvalues
+# (BLAS rounds a row's weighted sum by the row's place in the chunk).
+_SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)

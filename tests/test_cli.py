@@ -5,6 +5,7 @@ import os
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jsm2lab.cli
@@ -568,6 +569,19 @@ class TestCommands:
         # 9, 21, 22, 23, 36 and 38; its five-sigma band fails none
         failed = [s for s in range(40) if main(["verify", "--seed", str(s), "--trials", "1"]) != 0]
         assert failed == []
+
+    def test_fourth_moment_squares_twice_like_pow(self):
+        # Squaring twice rounds differently from ** 4, but only in the last bits,
+        # also where the mean offset dwarfs the spread.
+        rng = np.random.default_rng(24)
+        for i in range(1000):
+            offset = (0.0, 3.0, 1e4, 1e8)[i % 4]
+            draws = offset + rng.standard_normal(int(rng.integers(2, 3000))) * rng.uniform(0.1, 10.0)
+            if i % 3 == 0:
+                draws = offset + np.square(draws - offset)  # skewed, chi-square-like
+            dev = draws - draws.mean()
+            expected = np.mean(dev**4)
+            assert jsm2lab.cli._fourth_central_moment(draws) == pytest.approx(expected, rel=1e-12)
 
     def test_exit_code_4_on_budget(self, capsys):
         rc = main(
