@@ -3,6 +3,8 @@
 Subcommands: bounds (closed-form report), simulate (one Monte Carlo point),
 sweep (grid of points to CSV), find-m (smallest sufficient M search), and
 verify (self-check suite of distributional and dominance properties).
+verify runs its correct-support sampler on a second thread beside its
+other checks; its output bytes do not depend on the thread.
 Each command takes only the flags it reads (_COMMAND_FLAGS), named in
 full, and refuses any other. The same flags can be supplied through a flat
 key=value config file, which may set only those keys; explicit flags win
@@ -17,6 +19,7 @@ import contextlib
 import json
 import math
 import sys
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -379,12 +382,46 @@ def _fourth_central_moment(draws: np.ndarray) -> float:
     return float(dev.mean())
 
 
+class _Call(threading.Thread):
+    """fn(*args) on a thread of its own.
+
+    result() joins the thread, then returns what fn returned or raises what
+    it raised, so an error in the thread reaches the caller as if fn had
+    run there.
+    """
+
+    def __init__(self, fn, *args) -> None:
+        super().__init__()
+        self._call = (fn, args)
+        self._value = None
+        self._error: Optional[BaseException] = None
+
+    def run(self) -> None:
+        fn, args = self._call
+        try:
+            self._value = fn(*args)
+        except BaseException as exc:  # re-raised by result() in the joining thread
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 def _verify_rows(seed: int, trials: int) -> List[Tuple[str, float, float, float, bool]]:
     """Run every self-check; rows are (name, observed, reference, margin, ok).
 
     observed must stay within margin of reference (or below reference +
     margin for one-sided rows). Sample sizes follow the trials knob with
     floors keeping the binomial slack meaningful.
+
+    sample_z_correct runs on a second thread while the calling thread runs
+    every other check. The thread is joined however the checks end, and an
+    exception raised in it is raised here. Each check draws from its own
+    stream, so the rows, always in the same order, do not depend on which
+    thread finishes first.
     """
     if trials < 1:
         raise InvalidRangeError(f"need trials >= 1, got {trials}")
@@ -407,69 +444,77 @@ def _verify_rows(seed: int, trials: int) -> List[Tuple[str, float, float, float,
         var_of_var = _fourth_central_moment(draws) - var**2
         add(f"{name}_var", var, var_ref, 5.0 * math.sqrt(max(var_of_var, 1e-12) / n_samples))
 
-    # Residuals from the factorized projector match the dense solve.
-    rng = derive_rng(seed, ROLE_CHECK, 0)
-    worst = 0.0
-    for _ in range(50):
-        m = int(rng.integers(3, 12))
-        k = int(rng.integers(1, m))
-        block = rng.standard_normal((m, k))
-        y = rng.standard_normal(m)
-        sol, _, _, _ = np.linalg.lstsq(block, y, rcond=None)
-        dense = float(np.sum((y - block @ sol) ** 2))
-        fast = projection_residual(block, y)
-        worst = max(worst, abs(fast - dense) / max(1.0, dense))
-    add_upper("projector_vs_dense", worst, 0.0, 1e-9)
-
-    # Correct-support statistic: chi-square moments and MGF.
+    # The correct-support sampler is the longest check, and numpy draws and
+    # reduces its arrays with the GIL released, so the two threads overlap.
     m, k, s = 6, 2, 3
-    spec = QuadFormSpec.from_alpha([1.0] * s, m, k)
-    z = sample_z_correct(m, k, s, n_samples, derive_rng(seed, ROLE_CHECK, 1))
-    add_moments("z_correct", z, spec.mean, spec.variance)
-    dof = s * (m - k)
-    mgf_ref = (1.0 - 0.2) ** (-dof / 2)
-    add("mgf_closed_form", quadform_mgf(spec, 0.1), mgf_ref, 1e-12)
-    q = sample_quadform(spec, n_samples, derive_rng(seed, ROLE_CHECK, 2))
+    spec_correct = QuadFormSpec.from_alpha([1.0] * s, m, k)
+    mgf_ref = (1.0 - 0.2) ** (-s * (m - k) / 2)
+    correct = _Call(sample_z_correct, m, k, s, n_samples, derive_rng(seed, ROLE_CHECK, 1))
+    correct.start()
+    try:
+        # Residuals from the factorized projector match the dense solve.
+        rng = derive_rng(seed, ROLE_CHECK, 0)
+        worst = 0.0
+        for _ in range(50):
+            m = int(rng.integers(3, 12))
+            k = int(rng.integers(1, m))
+            block = rng.standard_normal((m, k))
+            y = rng.standard_normal(m)
+            sol, _, _, _ = np.linalg.lstsq(block, y, rcond=None)
+            dense = float(np.sum((y - block @ sol) ** 2))
+            fast = projection_residual(block, y)
+            worst = max(worst, abs(fast - dense) / max(1.0, dense))
+
+        # The correct-support form's MGF, sampled directly.
+        q = sample_quadform(spec_correct, n_samples, derive_rng(seed, ROLE_CHECK, 2))
+
+        # Incorrect-support statistic at heterogeneous energies.
+        alphas = (1.0, 3.0)
+        zj = sample_z_incorrect(alphas, 4, 2, n_samples, derive_rng(seed, ROLE_CHECK, 3))
+
+        # Exponential tail inequalities at a homogeneous weight vector.
+        check = laurent_massart_check([1.0] * 6, 1.0, n_samples, derive_rng(seed, ROLE_CHECK, 4))
+
+        # Closed-form dominance and identities on a random parameter grid.
+        rng = derive_rng(seed, ROLE_CHECK, 5)
+        worst_p1 = -math.inf
+        worst_p2 = -math.inf
+        worst_d2 = 0.0
+        worst_mu = 0.0
+        for _ in range(200):
+            n = int(rng.integers(6, 64))
+            k = int(rng.integers(1, 5))
+            m = int(rng.integers(k + 1, min(n, k + 12) + 1))
+            s = int(rng.integers(1, 9))
+            sigma2 = float(10.0 ** rng.uniform(-2, 1))
+            xmin2 = float(10.0 ** rng.uniform(-1, 2))
+            rho = float(rng.uniform(1.2, 4.0))
+            p = ProblemParams(n=n, k=k, m=m, s=s, sigma2=sigma2, xmin2=xmin2, rho=rho)
+            rep = upper_bound_perr(p)
+            worst_p1 = max(worst_p1, rep.log_p_d1 - rep.log_p1_exp)
+            worst_p2 = max(worst_p2, rep.log_p_d2 - rep.log_p2_exp)
+            worst_d2 = max(worst_d2, abs(rep.d2_alpha_star - (1.0 - rep.t)))
+            scale = 1.0 + abs(rep.log_p_d1) + abs(rep.log_p_d2)
+            worst_mu = max(
+                worst_mu,
+                abs(rep.log_p_d1 - p.s * rep.log_mu_I) / scale,
+                abs(rep.log_p_d2 - p.s * rep.log_mu_J) / scale,
+            )
+    finally:
+        correct.join()
+    z = correct.result()
+
+    add_upper("projector_vs_dense", worst, 0.0, 1e-9)
+    # Correct-support statistic: chi-square moments and MGF.
+    add_moments("z_correct", z, spec_correct.mean, spec_correct.variance)
+    add("mgf_closed_form", quadform_mgf(spec_correct, 0.1), mgf_ref, 1e-12)
     # The same five-sigma band as the moments, from the sample's own spread.
     e = np.exp(0.1 * q)
     add("mgf_empirical", e.mean(), mgf_ref, 5.0 * math.sqrt(e.var(ddof=1) / n_samples))
-
-    # Incorrect-support statistic moments at heterogeneous energies.
-    alphas = (1.0, 3.0)
-    zj = sample_z_incorrect(alphas, 4, 2, n_samples, derive_rng(seed, ROLE_CHECK, 3))
     spec = QuadFormSpec.from_alpha(alphas, 4, 2)
     add_moments("z_incorrect", zj, spec.mean, spec.variance)
-
-    # Exponential tail inequalities at a homogeneous weight vector.
-    check = laurent_massart_check([1.0] * 6, 1.0, n_samples, derive_rng(seed, ROLE_CHECK, 4))
     add_upper("tail_upper_rate", check.upper_rate, check.bound, check.allowance)
     add_upper("tail_lower_rate", check.lower_rate, check.bound, check.allowance)
-
-    # Closed-form dominance and identities on a random parameter grid.
-    rng = derive_rng(seed, ROLE_CHECK, 5)
-    worst_p1 = -math.inf
-    worst_p2 = -math.inf
-    worst_d2 = 0.0
-    worst_mu = 0.0
-    for _ in range(200):
-        n = int(rng.integers(6, 64))
-        k = int(rng.integers(1, 5))
-        m = int(rng.integers(k + 1, min(n, k + 12) + 1))
-        s = int(rng.integers(1, 9))
-        sigma2 = float(10.0 ** rng.uniform(-2, 1))
-        xmin2 = float(10.0 ** rng.uniform(-1, 2))
-        rho = float(rng.uniform(1.2, 4.0))
-        p = ProblemParams(n=n, k=k, m=m, s=s, sigma2=sigma2, xmin2=xmin2, rho=rho)
-        rep = upper_bound_perr(p)
-        worst_p1 = max(worst_p1, rep.log_p_d1 - rep.log_p1_exp)
-        worst_p2 = max(worst_p2, rep.log_p_d2 - rep.log_p2_exp)
-        worst_d2 = max(worst_d2, abs(rep.d2_alpha_star - (1.0 - rep.t)))
-        scale = 1.0 + abs(rep.log_p_d1) + abs(rep.log_p_d2)
-        worst_mu = max(
-            worst_mu,
-            abs(rep.log_p_d1 - p.s * rep.log_mu_I) / scale,
-            abs(rep.log_p_d2 - p.s * rep.log_mu_J) / scale,
-        )
     add_upper("dominance_exp_vs_correct_tail", worst_p1, 0.0, 1e-12)
     add_upper("dominance_exp_vs_incorrect_tail", worst_p2, 0.0, 1e-12)
     add_upper("gap_identity_d2", worst_d2, 0.0, 1e-12)

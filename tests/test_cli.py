@@ -3,6 +3,8 @@ import json
 import math
 import os
 import shlex
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,18 @@ import jsm2lab.cli
 import jsm2lab.montecarlo
 from jsm2lab.bounds import BOUND_REPORT_CSV_HEADER, SUFFICIENCY_CSV_HEADER
 from jsm2lab.cli import DEFAULT_SEED, DEFAULT_TRIALS, main, parse_config, read_config_file
-from jsm2lab.errors import ConfigError
+from jsm2lab.errors import ConfigError, DomainError
 from jsm2lab.montecarlo import MC_CSV_COLUMNS
+
+
+def _late(fn, seconds):
+    """fn, called after a sleep of the given seconds."""
+
+    def late(*args):
+        time.sleep(seconds)
+        return fn(*args)
+
+    return late
 
 
 class TestParseConfig:
@@ -569,6 +581,41 @@ class TestCommands:
         # 9, 21, 22, 23, 36 and 38; its five-sigma band fails none
         failed = [s for s in range(40) if main(["verify", "--seed", str(s), "--trials", "1"]) != 0]
         assert failed == []
+
+    def test_verify_reports_an_error_of_its_sampler_thread(self, monkeypatch, capsys):
+        def fail(*args):
+            raise DomainError("rank-deficient Gaussian block encountered")
+
+        monkeypatch.setattr(jsm2lab.cli, "sample_z_correct", fail)
+        before = threading.active_count()
+        assert main(["verify", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rank-deficient Gaussian block encountered\n"
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_verify_joins_its_sampler_thread_when_the_caller_raises(self, error, monkeypatch):
+        # the thread's sampler is still running when the caller's first one raises
+        monkeypatch.setattr(jsm2lab.cli, "sample_z_correct", _late(jsm2lab.cli.sample_z_correct, 0.2))
+
+        def fail(*args):
+            raise error("stop")
+
+        monkeypatch.setattr(jsm2lab.cli, "sample_quadform", fail)
+        before = threading.active_count()
+        with pytest.raises(error, match="stop"):
+            main(["verify", "--trials", "1"])
+        assert threading.active_count() == before
+
+    def test_verify_rows_do_not_depend_on_which_thread_finishes_first(self, monkeypatch):
+        expected = jsm2lab.cli._verify_rows(7, 20000)
+        monkeypatch.setattr(jsm2lab.cli, "sample_z_correct", _late(jsm2lab.cli.sample_z_correct, 0.05))
+        assert jsm2lab.cli._verify_rows(7, 20000) == expected
+        monkeypatch.undo()
+        for name in ("sample_quadform", "sample_z_incorrect", "laurent_massart_check"):
+            monkeypatch.setattr(jsm2lab.cli, name, _late(getattr(jsm2lab.cli, name), 0.05))
+        assert jsm2lab.cli._verify_rows(7, 20000) == expected
 
     def test_fourth_moment_squares_twice_like_pow(self):
         # Squaring twice rounds differently from ** 4, but only in the last bits,

@@ -30,6 +30,14 @@ from jsm2lab.montecarlo import TrialPlan, run_trials
 run_trials(TrialPlan(ProblemParams(n=6, k=2, m=4, s=1, sigma2=1.0, xmin2=1.0), 4, 0))
 """
 
+# verify runs a sampler on a second thread; none outlives the command
+VERIFY = """
+import threading
+code = cli.main(["verify", "--trials", "1"])
+assert threading.active_count() == 1, threading.enumerate()
+sys.exit(code)
+"""
+
 
 def cli_call(*argv: str) -> str:
     return f"sys.exit(cli.main({list(argv)!r}))"
@@ -49,7 +57,7 @@ POINT = ("--n", "6", "--k", "2", "--s", "1", "--snr", "10")
         cli_call("sweep", *POINT, "--trials", "4", "--axis", "m", "--values", "3,4"),
         cli_call("sweep", *POINT, "--trials", "4", "--axis", "m", "--values", "3,4", "--out", "grid.csv"),
         cli_call("find-m", *POINT, "--trials", "4", "--target", "0.5"),
-        cli_call("verify", "--trials", "1"),
+        VERIFY,
     ],
     ids=[
         "import", "run_trials", "bounds", "simulate", "simulate-out",
