@@ -4,8 +4,10 @@ Everything here is a pure function of problem parameters. The achievability
 side bounds the probability that exhaustive typicality decoding fails (the
 union of "true support not typical" and "some incorrect support typical"),
 the converse side lower-bounds what any decoder can achieve on the minimal
-amplitude class, and the sufficiency helpers expose the measurement counts
-under which the upper bound vanishes. Every closed form is evaluated at
+amplitude class, and sufficiency_report evaluates every measurement and
+vector count under which the upper bound vanishes (the tight count and
+Corollaries 1 and 2, each in the linear and the sublinear regime, and
+Corollary 3) beside the converse count. Every closed form is evaluated at
 the least-favorable point of the minimum SNR: each vector misses x_min^2
 and is centered at alpha* = sigma^2 + x_min^2.
 
@@ -20,7 +22,6 @@ out of float range, the reports raise DomainError.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import operator
@@ -50,13 +51,6 @@ _STIRLING = (
     -2.77777777730099687205e-3,
     8.33333333333331927722e-2,
 )
-
-
-class Regime(str, enum.Enum):
-    """Sparsity regime selecting the form of a sufficiency condition."""
-
-    LINEAR = "linear"
-    SUBLINEAR = "sublinear"
 
 
 # ---- Scalar kernels ------------------------------------------------------
@@ -220,11 +214,11 @@ BOUND_REPORT_CSV_HEADER = ",".join(column for column, _ in _BOUND_COLUMNS)
 class SufficiencyReport:
     """Measurement and vector-count conditions at one parameter point.
 
-    The cor2 fields are populated only when the chosen split constant
-    alpha is backed by enough SNR (snr_threshold_cor2 records the needed
-    level); otherwise they are NaN. S_cor3 is Corollary 3's vector count for
-    failure probability 0.01, evaluated at the minimal M = K + 1 regardless
-    of the M carried by params.
+    The cor2 fields are populated only when SNR_min backs Corollary 2's
+    midpoint split constant (snr_threshold_cor2 records the needed level,
+    which is 1); otherwise they are NaN. S_cor3 is Corollary 3's vector
+    count for failure probability 0.01, evaluated at the minimal M = K + 1
+    regardless of the M carried by params.
     """
 
     params: ProblemParams
@@ -344,72 +338,23 @@ def _nu2(t: float) -> float:
     return -2.0 / (math.log1p(-t) + t)
 
 
-def sufficient_M(params: ProblemParams, regime: Regime = Regime.SUBLINEAR) -> float:
+def sufficient_M(params: ProblemParams) -> float:
     """Measurement count above which the combined bound decays to zero.
 
-    Sublinear regime: K + nu2 * (K/S) * log(N/K) with
-    nu2 = -2 / (log(1-t) + t). Linear regime: K + nu1 * K/S with
-    nu1 = nu2 * (1 - log(K/N)). Strict inequality against this value is
-    the sufficiency condition.
+    The sublinear form K + nu2 * (K/S) * log(N/K) with
+    nu2 = -2 / (log(1-t) + t). Strict inequality against this value is the
+    sufficiency condition; sufficiency_report adds the linear form and
+    Corollaries 1 and 2.
     """
-    regime = Regime(regime)
     n, k, s = params.n, params.k, params.s
-    t = t_value(params)
-    nu2 = _nu2(t)
-    if regime is Regime.SUBLINEAR:
-        return k + nu2 * (k / s) * math.log(n / k)
-    nu1 = nu2 * (1.0 - math.log(k / n))
-    return k + nu1 * k / s
+    nu2 = _nu2(t_value(params))
+    return k + nu2 * (k / s) * math.log(n / k)
 
 
-def sufficient_M_corollary1(params: ProblemParams, regime: Regime = Regime.SUBLINEAR) -> float:
-    """Simpler, strictly looser variant of sufficient_M.
-
-    Replaces nu2 by the explicit envelope 4 / t^2, trading tightness for a
-    formula with no transcendental solve.
-    """
-    regime = Regime(regime)
-    n, k, s = params.n, params.k, params.s
-    t = t_value(params)
-    factor = 4.0 / (s * t * t)
-    if regime is Regime.SUBLINEAR:
-        return k + factor * k * math.log(n / k)
-    return k + factor * k * (1.0 - math.log(k / n))
-
-
-def cor2_snr_threshold(alpha: float, rho: float) -> float:
-    """Minimum SNR_min backing the split constant alpha in (0, 1 - 1/rho)."""
-    gap = 1.0 - 1.0 / rho
-    if not 0.0 < alpha < gap:
-        raise InvalidRangeError(f"alpha must lie in (0, {gap}), got {alpha}")
-    return alpha / (gap - alpha)
-
-
-def sufficient_M_corollary2(
-    params: ProblemParams,
-    alpha: float,
-    regime: Regime = Regime.SUBLINEAR,
-) -> float:
-    """SNR-explicit loosening of sufficient_M with split constant alpha.
-
-    Valid only when SNR_min >= alpha / ((1 - 1/rho) - alpha); below that
-    threshold a DomainError names the required level. The additive factor
-    is (1/S + 1/(S*SNR_min)) * (4 - 2 alpha) / ((1 - 1/rho) alpha), which
-    always dominates the tight nu2/S factor.
-    """
-    regime = Regime(regime)
-    n, k, s = params.n, params.k, params.s
-    snr = params.snr_min
-    threshold = cor2_snr_threshold(alpha, params.rho)
-    if snr < threshold:
-        raise DomainError(
-            f"alpha={alpha} requires SNR_min >= {threshold}, got SNR_min={snr}"
-        )
-    gap = 1.0 - 1.0 / params.rho
-    factor = (1.0 / s + 1.0 / (s * snr)) * (4.0 - 2.0 * alpha) / (gap * alpha)
-    if regime is Regime.SUBLINEAR:
-        return k + factor * k * math.log(n / k)
-    return k + factor * k * (1.0 - math.log(k / n))
+def _corollary_counts(params: ProblemParams, factor: float) -> Tuple[float, float]:
+    """Linear and sublinear counts K + factor*K*(1 - log(K/N)) and K + factor*K*log(N/K)."""
+    n, k = params.n, params.k
+    return k + factor * k * (1.0 - math.log(k / n)), k + factor * k * math.log(n / k)
 
 
 def corollary3_S_bound(params: ProblemParams, epsilon: float) -> float:
@@ -507,7 +452,7 @@ def mmv_order_comparison(params: ProblemParams) -> MmvOrderReport:
     """
     n, k, s = params.n, params.k, params.s
     mmv = k * math.log(n) / min(k, s)
-    jsm2 = sufficient_M(params, Regime.SUBLINEAR)
+    jsm2 = sufficient_M(params)
     return MmvOrderReport(mmv_low_noise=mmv, jsm2=jsm2, ratio=mmv / jsm2)
 
 
@@ -518,30 +463,37 @@ def mmv_order_comparison(params: ProblemParams) -> MmvOrderReport:
 def sufficiency_report(params: ProblemParams) -> SufficiencyReport:
     """Evaluate every sufficiency and necessity condition at one point.
 
-    Corollary 2 is taken at the midpoint alpha = (1 - 1/rho)/2 of its
-    admissible range. When SNR_min cannot back that alpha the cor2 fields
-    are NaN rather than an error, so sweeps over low-SNR points still
-    produce rows.
+    The tight counts use nu2 = -2 / (log(1-t) + t): K + nu1 * K/S in the
+    linear regime, with nu1 = nu2 * (1 - log(K/N)), and sufficient_M in the
+    sublinear one. Corollary 1 replaces nu2/S by the looser 4 / (S t^2).
+    Corollary 2 is taken at the midpoint alpha = (1 - 1/rho)/2 of its split
+    range, where its factor is (1/S + 1/(S*SNR_min)) * (4 - 2 alpha) /
+    ((1 - 1/rho) alpha), backed by SNR_min >= alpha / ((1 - 1/rho) - alpha),
+    which is 1 at the midpoint. Below that level the cor2 fields are NaN
+    rather than an error, so sweeps over low-SNR points still produce rows.
     """
+    n, k, s = params.n, params.k, params.s
+    snr = params.snr_min
     t = t_value(params)
     nu2 = _nu2(t)
-    nu1 = nu2 * (1.0 - math.log(params.k / params.n))
-    alpha = 0.5 * (1.0 - 1.0 / params.rho)
-    threshold = cor2_snr_threshold(alpha, params.rho)
-    if params.snr_min >= threshold:
-        cor2_lin = sufficient_M_corollary2(params, alpha, Regime.LINEAR)
-        cor2_sub = sufficient_M_corollary2(params, alpha, Regime.SUBLINEAR)
+    nu1 = nu2 * (1.0 - math.log(k / n))
+    cor1_lin, cor1_sub = _corollary_counts(params, 4.0 / (s * t * t))
+    gap = 1.0 - 1.0 / params.rho
+    alpha = 0.5 * gap
+    threshold = alpha / (gap - alpha)
+    if snr >= threshold:
+        factor = (1.0 / s + 1.0 / (s * snr)) * (4.0 - 2.0 * alpha) / (gap * alpha)
+        cor2_lin, cor2_sub = _corollary_counts(params, factor)
     else:
-        cor2_lin = math.nan
-        cor2_sub = math.nan
+        cor2_lin = cor2_sub = math.nan
     return SufficiencyReport(
         params=params,
         nu1=nu1,
         nu2=nu2,
-        M_suff_linear=sufficient_M(params, Regime.LINEAR),
-        M_suff_sublinear=sufficient_M(params, Regime.SUBLINEAR),
-        M_suff_cor1_linear=sufficient_M_corollary1(params, Regime.LINEAR),
-        M_suff_cor1_sublinear=sufficient_M_corollary1(params, Regime.SUBLINEAR),
+        M_suff_linear=k + nu1 * k / s,
+        M_suff_sublinear=sufficient_M(params),
+        M_suff_cor1_linear=cor1_lin,
+        M_suff_cor1_sublinear=cor1_sub,
         M_suff_cor2_linear=cor2_lin,
         M_suff_cor2_sublinear=cor2_sub,
         snr_threshold_cor2=threshold,

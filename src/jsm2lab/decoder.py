@@ -83,11 +83,6 @@ RANK_TOL = 1e-10
 # Exhaustive enumeration refuses above this many candidate supports.
 ENUMERATION_CAP = 10**6
 
-# Scalars in one batch of residual_energies' MGS work array: 2^16 float64
-# (512 KB) keep each deflation pass in L2 instead of streaming the whole
-# stack from memory. Not part of the output bytes.
-_RESIDUAL_BATCH_SCALARS = 1 << 16
-
 # Vector-candidate scores one walk holds at a time: trials_per_walk stacks as
 # many trials as keep T * S * C(N, K) within it, and the walk cuts each level
 # into chunks of _WALK_SCORES // (T * S) candidates, one at the least, cutting
@@ -209,10 +204,10 @@ def residual_energies(blocks: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, n
     An (m, 0) block spans nothing and has full column rank 0, so it leaves
     ||y||^2 and passes the rank test.
 
-    The stack goes through one (m, k+1, b) work array in batches of b
-    blocks, about _RESIDUAL_BATCH_SCALARS (2^16) scalars each, so the
-    deflations run in cache. The batch size is not part of the bytes: each
-    block goes through the same operations in the same order in any batch.
+    The whole stack goes through one (m, k+1, count) work array. A block's
+    bits do not depend on the stack it is in: each block goes through the
+    same operations in the same order in any stack. The callers keep the
+    stack in cache: a quadstats sampler chunk holds at most 2^16 scalars.
     """
     blocks = np.asarray(blocks, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -223,24 +218,16 @@ def residual_energies(blocks: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, n
             f"measurement stack shape {ys.shape} does not match blocks {blocks.shape}"
         )
     count = math.prod(lead)
-    blocks = blocks.reshape(count, m, k)
-    ys = ys.reshape(count, m)
-    b = max(1, min(_RESIDUAL_BATCH_SCALARS // max(1, m * (k + 1)), count))
-    work = np.empty((m, k + 1, b))
-    pivots = np.empty((k, b))
-    resid = np.empty(count)
-    rank_ok = np.empty(count, dtype=bool)
-    for lo in range(0, count, b):
-        hi = min(lo + b, count)
-        w, piv = work[..., : hi - lo], pivots[:, : hi - lo]
-        w[:, :k] = blocks[lo:hi].transpose(1, 2, 0)
-        w[:, k] = ys[lo:hi].T
-        for j in range(k):
-            piv[j], div = _pivots(w[:, j])
-            for c in range(j + 1, k + 1):
-                _deflate(w[:, c], w[:, j], div)
-        resid[lo:hi] = _sq_norms(w[:, k])
-        rank_ok[lo:hi] = _rank_ok(piv.min(axis=0, initial=np.inf), piv.max(axis=0, initial=0.0))
+    work = np.empty((m, k + 1, count))
+    work[:, :k] = blocks.reshape(count, m, k).transpose(1, 2, 0)
+    work[:, k] = ys.reshape(count, m).T
+    pivots = np.empty((k, count))
+    for j in range(k):
+        pivots[j], div = _pivots(work[:, j])
+        for c in range(j + 1, k + 1):
+            _deflate(work[:, c], work[:, j], div)
+    resid = _sq_norms(work[:, k])
+    rank_ok = _rank_ok(pivots.min(axis=0, initial=np.inf), pivots.max(axis=0, initial=0.0))
     return resid.reshape(lead), rank_ok.reshape(lead)
 
 

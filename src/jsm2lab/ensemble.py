@@ -118,14 +118,6 @@ class SparseEnsemble:
             raise InvalidParameterError("vectors must be nonzero on every support index")
         object.__setattr__(self, "vectors", v)
 
-    @property
-    def num_vectors(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.vectors.shape[1]
-
 
 @dataclass(frozen=True)
 class SensingEnsemble:
@@ -140,14 +132,6 @@ class SensingEnsemble:
         if m.shape[0] < 1:
             raise InvalidDimensionError("need at least one sensing matrix")
         object.__setattr__(self, "matrices", m)
-
-    @property
-    def num_vectors(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrices.shape[2]
 
 
 @dataclass(frozen=True)
@@ -299,7 +283,8 @@ def measure(
     """
     if not 0 <= noise_var < math.inf:
         raise InvalidRangeError(f"noise_var must be finite and >= 0, got {noise_var}")
-    if f.num_vectors != x.num_vectors or f.ambient_dim != x.ambient_dim:
+    # the (S, M, N) matrices' S and N against the (S, N) vectors'
+    if f.matrices.shape[::2] != x.vectors.shape:
         raise InvalidDimensionError(
             f"shape mismatch: matrices {f.matrices.shape} vs vectors {x.vectors.shape}"
         )

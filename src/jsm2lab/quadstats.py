@@ -32,10 +32,10 @@ from .decoder import residual_energies
 from .errors import DomainError, InvalidRangeError
 from .seeding import Seed, as_rng
 
-# Scalar draws per sampler chunk: one residual_energies batch
-# (decoder._RESIDUAL_BATCH_SCALARS), so a z sampler's blocks and measurements,
-# at most 512 KB, are drawn and reduced while still in L2. Part of the z
-# samplers' bytes, since each chunk draws all its blocks before its noise; in
+# Scalar draws per sampler chunk. residual_energies scores a chunk's blocks
+# as one stack, so this size keeps a z sampler's blocks and measurements, at
+# most 512 KB, in L2 while they are drawn and reduced. Part of the z samplers'
+# bytes, since each chunk draws all its blocks before its noise; in
 # sample_quadform it moves only a last bit, and only for unequal eigenvalues
 # (BLAS rounds a row's weighted sum by the row's place in the chunk).
 _SAMPLE_CHUNK = 1 << 16
@@ -101,6 +101,8 @@ def sample_quadform(spec: QuadFormSpec, trials: int, seed: Seed) -> np.ndarray:
     for lo in range(0, trials, step):
         hi = min(lo + step, trials)
         g = rng.standard_normal((hi - lo, lams.size))
+        # Row sums follow OpenBLAS's CPU kernel (Prescott's moves about a third by an ulp);
+        # verify prints only a mean, a spread and tail counts of them: unmoved at the pinned seeds.
         out[lo:hi] = np.square(g, out=g) @ lams
     return out
 
@@ -230,6 +232,7 @@ def laurent_massart_check(
         raise InvalidRangeError("weights must be nonnegative")
     if not (alphas > 0).any():
         raise InvalidRangeError("at least one weight must be positive")
+    # exact for verify's unit weights in any BLAS order: every partial sum is an integer
     norm2 = float(np.linalg.norm(alphas))
     norm_inf = float(np.max(np.abs(alphas)))
     upper_cut = 2.0 * norm2 * math.sqrt(x) + 2.0 * norm_inf * x

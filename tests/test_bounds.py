@@ -7,8 +7,6 @@ import pytest
 from jsm2lab.bounds import (
     BOUND_REPORT_CSV_HEADER,
     SUFFICIENCY_CSV_HEADER,
-    Regime,
-    cor2_snr_threshold,
     corollary3_S_bound,
     corollary3_S_bound_high_snr,
     exp_ineq_bounds,
@@ -20,8 +18,6 @@ from jsm2lab.bounds import (
     p_chernoff,
     sufficiency_report,
     sufficient_M,
-    sufficient_M_corollary1,
-    sufficient_M_corollary2,
     t_value,
     upper_bound_perr,
 )
@@ -203,7 +199,7 @@ class TestSufficientM:
         nu2 = -2.0 / (math.log(0.5) + 0.5)
         nu1 = nu2 * (1.0 - math.log(16.0 / 1024.0))
         expected = 16.0 + nu1 * 16.0 / 4.0
-        assert sufficient_M(T_HALF, Regime.LINEAR) == pytest.approx(expected, rel=1e-12)
+        assert sufficiency_report(T_HALF).M_suff_linear == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_s_halves_additive_term(self):
         base = sufficient_M(T_HALF)
@@ -217,7 +213,7 @@ class TestSufficientM:
         for _ in range(50):
             p = _random_params(rng)
             assert sufficient_M(p) > p.k
-            assert sufficient_M(p, Regime.LINEAR) > p.k
+            assert sufficiency_report(p).M_suff_linear > p.k
 
     def test_low_snr_blowup(self):
         # t -> 0 as SNR -> 0 so the sample requirement diverges
@@ -231,61 +227,83 @@ class TestSufficientM:
         assert vals[2] > 1e4
 
 
+def _regimes(rep, corollary):
+    """(linear, sublinear) pairs of a corollary's counts and the tight ones."""
+    return (
+        (getattr(rep, f"M_suff_{corollary}_linear"), rep.M_suff_linear),
+        (getattr(rep, f"M_suff_{corollary}_sublinear"), rep.M_suff_sublinear),
+    )
+
+
 class TestCorollary1:
     def test_sixteen_over_s_at_t_half(self):
-        got = sufficient_M_corollary1(T_HALF)
+        rep = sufficiency_report(T_HALF)
         expected = 16.0 + (16.0 / 4.0) * 16.0 * math.log(64.0)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert rep.M_suff_cor1_sublinear == pytest.approx(expected, rel=1e-12)
+        expected = 16.0 + (16.0 / 4.0) * 16.0 * (1.0 - math.log(16.0 / 1024.0))
+        assert rep.M_suff_cor1_linear == pytest.approx(expected, rel=1e-12)
 
     def test_never_below_tight_form(self):
         rng = np.random.default_rng(408)
         for _ in range(100):
-            p = _random_params(rng)
-            for regime in (Regime.SUBLINEAR, Regime.LINEAR):
-                assert sufficient_M_corollary1(p, regime) >= sufficient_M(p, regime) - 1e-9
+            for loose, tight in _regimes(sufficiency_report(_random_params(rng)), "cor1"):
+                assert loose >= tight - 1e-9
 
     def test_high_snr_limit(self):
         # t -> 1 - 1/rho, so the factor tends to 4 / (S (1 - 1/rho)^2)
         p = ProblemParams(n=256, k=8, m=32, s=2, sigma2=1e-9, xmin2=1.0, rho=2.0)
-        got = sufficient_M_corollary1(p)
+        got = sufficiency_report(p).M_suff_cor1_sublinear
         limit = 8.0 + (4.0 / (2.0 * 0.25)) * 8.0 * math.log(32.0)
         assert got == pytest.approx(limit, rel=1e-6)
 
 
 class TestCorollary2:
+    # the report takes Corollary 2 at the midpoint alpha = (1 - 1/rho)/2
+
     def test_threshold_value(self):
-        assert cor2_snr_threshold(0.25, 2.0) == pytest.approx(1.0, rel=1e-12)
+        # alpha = 0.375 at rho = 4, and SNR_min = 2 backs it
+        rep = sufficiency_report(T_HALF)
+        assert rep.snr_threshold_cor2 == 1.0
+        factor = (1.0 / 4.0 + 1.0 / 8.0) * (4.0 - 0.75) / (0.75 * 0.375)
+        expected = 16.0 + factor * 16.0 * math.log(64.0)
+        assert rep.M_suff_cor2_sublinear == pytest.approx(expected, rel=1e-12)
+        expected = 16.0 + factor * 16.0 * (1.0 - math.log(16.0 / 1024.0))
+        assert rep.M_suff_cor2_linear == pytest.approx(expected, rel=1e-12)
 
     def test_at_threshold_equality_is_allowed(self):
         p = ProblemParams(n=64, k=4, m=16, s=2, sigma2=1.0, xmin2=1.0, rho=2.0)
-        got = sufficient_M_corollary2(p, 0.25)
+        assert p.snr_min == 1.0
+        got = sufficiency_report(p).M_suff_cor2_sublinear
         factor = (1.0 / 2.0 + 1.0 / 2.0) * (4.0 - 0.5) / (0.5 * 0.25)
         assert got == pytest.approx(4.0 + factor * 4.0 * math.log(16.0), rel=1e-12)
 
     def test_below_threshold_rejected(self):
-        p = ProblemParams(n=64, k=4, m=16, s=2, sigma2=1.5, xmin2=1.0, rho=2.0)
-        with pytest.raises(DomainError):
-            sufficient_M_corollary2(p, 0.25)
+        rep = sufficiency_report(ProblemParams(n=64, k=4, m=16, s=2, sigma2=1.5, xmin2=1.0, rho=2.0))
+        assert math.isnan(rep.M_suff_cor2_linear)
+        assert math.isnan(rep.M_suff_cor2_sublinear)
 
-    def test_alpha_range(self):
-        p = ProblemParams(n=64, k=4, m=16, s=2, sigma2=0.01, xmin2=1.0, rho=2.0)
-        for bad in (0.0, -1.0, 0.5, 0.9):
-            with pytest.raises((InvalidRangeError, DomainError)):
-                sufficient_M_corollary2(p, bad)
+    def test_threshold_is_one_on_a_grid(self):
+        # (1 - 1/rho) - alpha is exact at the midpoint (Sterbenz), so the
+        # threshold alpha / ((1 - 1/rho) - alpha) is 1.0 at every rho
+        below, above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+        for rho in 1.0 + np.geomspace(1e-8, 1e3, 23):
+            for snr in (1e-3, 0.5, below, 1.0, above, 2.0, 1e3):
+                p = ProblemParams(n=64, k=4, m=16, s=3, sigma2=1.0, xmin2=snr, rho=float(rho))
+                assert p.snr_min == snr
+                rep = sufficiency_report(p)
+                assert rep.snr_threshold_cor2 == 1.0
+                for cell in (rep.M_suff_cor2_linear, rep.M_suff_cor2_sublinear):
+                    assert math.isnan(cell) == (snr < 1.0)
 
     def test_never_below_tight_form(self):
         rng = np.random.default_rng(409)
         checked = 0
         while checked < 60:
-            p = _random_params(rng)
-            alpha = float(rng.uniform(0.05, 0.95)) * (1.0 - 1.0 / p.rho)
-            if p.snr_min < cor2_snr_threshold(alpha, p.rho):
+            rep = sufficiency_report(_random_params(rng))
+            if math.isnan(rep.M_suff_cor2_sublinear):
                 continue
-            for regime in (Regime.SUBLINEAR, Regime.LINEAR):
-                assert (
-                    sufficient_M_corollary2(p, alpha, regime)
-                    >= sufficient_M(p, regime) - 1e-9
-                )
+            for loose, tight in _regimes(rep, "cor2"):
+                assert loose >= tight - 1e-9
             checked += 1
 
 
@@ -465,22 +483,15 @@ class TestSufficiencyReport:
     def test_internal_consistency(self):
         rep = sufficiency_report(T_HALF)
         assert rep.nu1 == pytest.approx(rep.nu2 * (1.0 - math.log(16.0 / 1024.0)), rel=1e-12)
-        assert rep.M_suff_sublinear == pytest.approx(sufficient_M(T_HALF), rel=1e-12)
-        assert rep.M_suff_linear == pytest.approx(
-            sufficient_M(T_HALF, Regime.LINEAR), rel=1e-12
-        )
-        assert rep.M_suff_cor1_sublinear == pytest.approx(
-            sufficient_M_corollary1(T_HALF), rel=1e-12
-        )
+        assert rep.M_suff_sublinear == sufficient_M(T_HALF)
+        assert rep.M_suff_linear == pytest.approx(16.0 + rep.nu1 * 16.0 / 4.0, rel=1e-12)
         assert rep.M_necessary == pytest.approx(necessary_M(T_HALF), rel=1e-12)
-        # the midpoint alpha of (0, 1 - 1/rho) at rho = 4
-        assert rep.snr_threshold_cor2 == pytest.approx(cor2_snr_threshold(0.375, 4.0))
         assert rep.S_cor3 > 0.0
 
     def test_cor2_nan_below_threshold(self):
         p = ProblemParams(n=64, k=4, m=16, s=2, sigma2=25.0, xmin2=1.0, rho=2.0)
         rep = sufficiency_report(p)
-        assert p.snr_min < cor2_snr_threshold(0.25, 2.0)
+        assert p.snr_min < rep.snr_threshold_cor2
         assert math.isnan(rep.M_suff_cor2_linear)
         assert math.isnan(rep.M_suff_cor2_sublinear)
 

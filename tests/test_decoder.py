@@ -24,7 +24,6 @@ from jsm2lab.errors import (
     InvalidRangeError,
     RankDeficientError,
 )
-from jsm2lab.quadstats import sample_z_incorrect
 from oracles import (
     brute_force_decode,
     brute_force_stats,
@@ -84,31 +83,20 @@ class TestProjectionResidual:
         assert again == pytest.approx(once, rel=1e-10)
 
 
-class TestResidualBatches:
-    # a block's bits must not depend on the batch it lands in
-    @pytest.fixture
-    def stack(self):
+class TestResidualStack:
+    def test_each_block_scores_as_it_does_alone(self):
+        # a block's bits must not depend on the stack it is scored in
         rng = np.random.default_rng(29)
         blocks = rng.standard_normal((3, 1001, 6, 2))
         flat = blocks.reshape(-1, 6, 2)
-        for i in (6, 7, 63, 64, 3002):  # batch edges at 7 and at 64
+        for i in (6, 7, 63, 64, 3002):
             flat[i, :, 1] = flat[i, :, 0]
-        return blocks, rng.standard_normal((3, 1001, 6))
-
-    def test_bits_do_not_depend_on_the_batch(self, stack, monkeypatch):
-        blocks, ys = stack
-        default = decoder.residual_energies(blocks, ys)
-        assert np.flatnonzero(~default[1]).tolist() == [6, 7, 63, 64, 3002]
-        for batch in (1, 7, 64):  # 3003 blocks: 64 leaves a partial last batch
-            monkeypatch.setattr(decoder, "_RESIDUAL_BATCH_SCALARS", batch * 6 * 3)
-            resid, rank_ok = decoder.residual_energies(blocks, ys)
-            assert np.array_equal(resid, default[0])
-            assert np.array_equal(rank_ok, default[1])
-
-    def test_sampler_bytes_do_not_depend_on_the_batch(self, monkeypatch):
-        draws = sample_z_incorrect([1.0, 3.0], 4, 2, trials=3000, seed=31)
-        monkeypatch.setattr(decoder, "_RESIDUAL_BATCH_SCALARS", 7 * 4 * 3)
-        assert sample_z_incorrect([1.0, 3.0], 4, 2, trials=3000, seed=31).tobytes() == draws.tobytes()
+        ys = rng.standard_normal((3, 1001, 6))
+        resid, rank_ok = decoder.residual_energies(blocks, ys)
+        assert np.flatnonzero(~rank_ok).tolist() == [6, 7, 63, 64, 3002]
+        alone = [decoder.residual_energies(b, y) for b, y in zip(flat, ys.reshape(-1, 6))]
+        assert resid.ravel().tobytes() == np.array([r for r, _ in alone]).tobytes()
+        assert rank_ok.ravel().tolist() == [bool(ok) for _, ok in alone]
 
 
 def _instance(n, k, m, s, sigma2, xmin2, seeds=(1, 2, 3, 4), rho=2.0, **kw):

@@ -7,7 +7,12 @@ own temporary directory, and prints one line per stdout and per --out
 file: the sha256, the exit code for a stdout, and a label. Before a sweep
 sidecar is hashed its time fields (created_unix, wall_time_s) are dropped.
 A '#' line first names the numpy version: the Monte Carlo and verify
-bytes depend on numpy. Two checkouts whose output bytes agree
+bytes depend on numpy. The verify lines also depend on the CPU kernel
+that OpenBLAS picks at load time, through the projector_vs_dense row's
+np.linalg.lstsq: its observed cell is a rounding gap of about 5e-16,
+which moves under OPENBLAS_CORETYPE=Haswell and =Prescott. No other
+printed cell moved under either, though Prescott's kernel also moves
+sample_quadform's values by an ulp. Two checkouts whose output bytes agree
 print identical lines, so
 
     diff <(python3 tools/output_digest.py PARENT) <(python3 tools/output_digest.py CHANGE)
@@ -22,7 +27,7 @@ square-sum to S alpha*^2, one at x_min^2 = 0.37 and rho = 7, where
 Corollary 3's vector count hangs on how its canonical slack is written,
 and one at SNR 1e-4, where log(1 + x) - x cancels), verify at three seeds (one at 200,000 samples, one at
 the 2,000-sample floor, where a sampler's whole stack is smaller than one
-residual batch), two
+sampler chunk), two
 simulate points at the decoder walk's edge depths: K=1, where the raw
 columns are the candidates, and K=5, with four levels of prefixes, and two
 simulate points whose walks the score budget cuts into many chunks: 27,405
