@@ -16,8 +16,10 @@ exponents scale like S(M-K) and overflow doubles immediately otherwise.
 Binomial coefficients go through log-gamma and the combined bound through
 log-sum-exp. Raw log values are preserved alongside clamped probabilities
 so dominance comparisons stay exact even where a bound exceeds one.
-Where a finite but extreme point (SNR 1e300, rho 1e20) takes a closed form
-out of float range, the reports raise DomainError.
+Every Chernoff exponent, mu factor and nu2 is log(1 + x) - x of a
+dimensionless ratio, from one kernel that keeps its digits as x -> 0.
+Where a finite but extreme point takes a closed form out of float range
+(SNR 1e-300), the reports raise DomainError.
 """
 
 from __future__ import annotations
@@ -56,17 +58,21 @@ _STIRLING = (
 # ---- Scalar kernels ------------------------------------------------------
 
 
-def p_chernoff(x: float, beta: float) -> float:
-    """Log of the chi-square tail kernel x^beta * exp(-beta(x-1)).
+def _log1pmx(x: float) -> float:
+    """log(1 + x) - x for x > -1, within a few ulp wherever the value is a normal float.
 
-    Returns beta * (log x - (x - 1)) in nats. Zero at x = 1 and strictly
-    negative elsewhere, so the kernel is a probability for every x > 0.
+    The direct form cancels as x -> 0, so below |x| = 1/8 the series of
+    log(1 + x) = 2 artanh(u) in u = x / (2 + x) is used instead:
+    log(1 + x) - x = -x u + 2 (u^3/3 + u^5/5 + ...), with |u| <= 1/15.
     """
-    if not x > 0:
-        raise DomainError(f"kernel argument must be > 0, got {x}")
-    if not beta > 0:
-        raise DomainError(f"kernel exponent must be > 0, got {beta}")
-    return beta * (math.log(x) - (x - 1.0))
+    if abs(x) >= 0.125:
+        return math.log1p(x) - x
+    u = x / (2.0 + x)
+    u2 = u * u
+    series = 0.0
+    for j in range(17, 1, -2):
+        series = series * u2 + 1.0 / j
+    return -x * u + 2.0 * u * u2 * series
 
 
 def _log_gamma(x: int) -> float:
@@ -263,16 +269,16 @@ def log_mu_factors(params: ProblemParams) -> Tuple[float, float]:
     k, m = params.k, params.m
     d1 = m * params.delta / ((m - k) * params.sigma2)
     t = t_value(params)
-    log_mu_i = 0.5 * (m - k) * (math.log1p(d1) - d1)
-    log_mu_j = 0.5 * (m - k) * (math.log1p(-t) + t)
-    return log_mu_i, log_mu_j
+    return 0.5 * (m - k) * _log1pmx(d1), 0.5 * (m - k) * _log1pmx(-t)
 
 
 def exp_ineq_bounds(params: ProblemParams) -> Tuple[float, float]:
     """Exponential-form log bounds on the two failure events at the least-favorable point.
 
     Every vector misses x_min^2 and is centered at alpha* = sigma^2 + x_min^2,
-    so the S centering energies square-sum to S * alpha*^2. Requires the
+    so the S centering energies square-sum to S * alpha*^2. Written on
+    r = delta / sigma^2 and g = gap / alpha*, with r multiplied in last, so
+    no intermediate leaves float range before the value does. Requires the
     slack 0 < delta < (1 - K/M) * x_min^2. Returns (log_p1_exp, log_p2_exp).
     """
     k, m, s = params.k, params.m, params.s
@@ -283,9 +289,10 @@ def exp_ineq_bounds(params: ProblemParams) -> Tuple[float, float]:
         raise DeltaAdmissibilityError(
             f"slack delta={delta} violates 0 < delta < (1 - K/M) * x_min^2 = {limit}"
         )
-    log_p1 = -(s * delta**2 / (4.0 * sigma2**2)) * m**2 / (m - k + 2.0 * delta * m / sigma2)
-    gap = xmin2 - m * delta / (m - k)
-    log_p2 = -(s**2 * (m - k) / (4.0 * (s * (sigma2 + xmin2) ** 2))) * gap**2
+    r = delta / sigma2
+    log_p1 = -(s * r / 4.0) * m**2 / (m - k + 2.0 * r * m) * r
+    g = (xmin2 - m * delta / (m - k)) / (sigma2 + xmin2)
+    log_p2 = -(s * (m - k) / 4.0) * g * g
     return log_p1, log_p2
 
 
@@ -307,8 +314,9 @@ def upper_bound_perr(params: ProblemParams) -> BoundReport:
     d1 = m * delta / ((m - k) * sigma2)
     d2 = ((m - k) * sigma2 + m * delta) / ((m - k) * alpha_star)
     beta = 0.5 * s * (m - k)
-    log_p_d1 = p_chernoff(1.0 + d1, beta)
-    log_p_d2 = p_chernoff(d2, beta)
+    # d2 - 1 is exact wherever the kernel sums its series (d2 > 7/8, Sterbenz)
+    log_p_d1 = beta * _log1pmx(d1)
+    log_p_d2 = beta * _log1pmx(d2 - 1.0)
     lb = log_binom(n, k)
     log_upper = float(np.logaddexp(_LOG2 + log_p_d1, lb + log_p_d2))
     t = t_value(params)
@@ -335,7 +343,7 @@ def upper_bound_perr(params: ProblemParams) -> BoundReport:
 
 
 def _nu2(t: float) -> float:
-    return -2.0 / (math.log1p(-t) + t)
+    return -2.0 / _log1pmx(-t)
 
 
 def sufficient_M(params: ProblemParams) -> float:

@@ -15,8 +15,8 @@ references.
 
 The samplers work in chunks of _SAMPLE_CHUNK scalar draws. The z samplers'
 values depend on the chunk size, since each chunk draws its blocks before
-its noise. sample_quadform's draws do not, and its values depend on it only
-in the last bit, and only for unequal eigenvalues.
+its noise. sample_quadform's values do not: it draws its normals in order
+and sums each row on its own.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from .seeding import Seed, as_rng
 # Scalar draws per sampler chunk. residual_energies scores a chunk's blocks
 # as one stack, so this size keeps a z sampler's blocks and measurements, at
 # most 512 KB, in L2 while they are drawn and reduced. Part of the z samplers'
-# bytes, since each chunk draws all its blocks before its noise; in
-# sample_quadform it moves only a last bit, and only for unequal eigenvalues
-# (BLAS rounds a row's weighted sum by the row's place in the chunk).
+# bytes, since each chunk draws all its blocks before its noise; not of
+# sample_quadform's.
 _SAMPLE_CHUNK = 1 << 16
 
 
@@ -101,9 +100,8 @@ def sample_quadform(spec: QuadFormSpec, trials: int, seed: Seed) -> np.ndarray:
     for lo in range(0, trials, step):
         hi = min(lo + step, trials)
         g = rng.standard_normal((hi - lo, lams.size))
-        # Row sums follow OpenBLAS's CPU kernel (Prescott's moves about a third by an ulp);
-        # verify prints only a mean, a spread and tail counts of them: unmoved at the pinned seeds.
-        out[lo:hi] = np.square(g, out=g) @ lams
+        # einsum, not @: BLAS would round the row sums by the CPU kernel OpenBLAS picks.
+        out[lo:hi] = np.einsum("ij,j->i", np.square(g, out=g), lams)
     return out
 
 

@@ -5,6 +5,7 @@ projectors, naive loops over all candidate supports, direct formula
 transcriptions. The package must agree with these, never import them.
 """
 
+import decimal
 import itertools
 import math
 
@@ -96,3 +97,28 @@ def naive_upper_log(n, k, m, s, sigma2, xmin2, rho):
     return big + math.log(
         math.exp(math.log(2.0) + log_p1 - big) + math.exp(log_c + log_p2 - big)
     )
+
+
+def log1pmx_reference(x, digits=60):
+    """log(1 + x) - x of a float x > -1, as a Decimal to the given significant digits.
+
+    Below |x| = 1/2 the alternating series -x^2/2 + x^3/3 - ..., summed
+    exactly from the float's own value, which has no cancellation; above it
+    decimal's ln, where too little cancels to matter.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10
+        d = decimal.Decimal(x)
+        if abs(d) >= decimal.Decimal("0.5"):
+            total = (1 + d).ln() - d
+        else:
+            total, power, n = decimal.Decimal(0), d, 1
+            while True:
+                n += 1
+                power *= -d
+                term = power / n
+                total += term
+                if abs(term) <= abs(total).scaleb(-digits - 5):
+                    break
+        ctx.prec = digits
+        return +total

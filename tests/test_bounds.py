@@ -1,5 +1,7 @@
 import math
+import warnings
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from jsm2lab.bounds import (
     BOUND_REPORT_CSV_HEADER,
     SUFFICIENCY_CSV_HEADER,
+    _log1pmx,
     corollary3_S_bound,
     corollary3_S_bound_high_snr,
     exp_ineq_bounds,
@@ -15,7 +18,6 @@ from jsm2lab.bounds import (
     log_mu_factors,
     mmv_order_comparison,
     necessary_M,
-    p_chernoff,
     sufficiency_report,
     sufficient_M,
     t_value,
@@ -24,10 +26,10 @@ from jsm2lab.bounds import (
 from jsm2lab.ensemble import ProblemParams
 from jsm2lab.errors import (
     DeltaAdmissibilityError,
-    DomainError,
     InvalidParameterError,
     InvalidRangeError,
 )
+from oracles import log1pmx_reference
 
 # canonical hand-checked operating point: delta = 3.75, d1 = 5, t = 5/11
 HAND = ProblemParams(n=10, k=2, m=8, s=4, sigma2=1.0, xmin2=10.0, rho=2.0)
@@ -44,25 +46,62 @@ def _random_params(rng, n_hi=64, s_hi=8):
     return ProblemParams(n=n, k=k, m=m, s=s, sigma2=sigma2, xmin2=xmin2, rho=rho)
 
 
+def _ulps(value, reference):
+    """|value - reference| in ulps of the reference's float."""
+    return abs(Decimal(value) - reference) / Decimal(math.ulp(float(reference)))
+
+
 class TestChernoffKernel:
+    # log(1 + x) - x, the log of the chi-square Chernoff kernel at the ratio 1 + x
+
     def test_zero_at_one(self):
-        assert p_chernoff(1.0, 3.7) == 0.0
+        assert _log1pmx(0.0) == 0.0
 
     def test_frozen_value(self):
-        assert p_chernoff(2.0, 1.0) == pytest.approx(math.log(2.0) - 1.0, rel=1e-12)
+        assert _log1pmx(1.0) == pytest.approx(math.log(2.0) - 1.0, rel=1e-12)
 
     def test_strictly_negative_away_from_one(self):
-        for x in (0.01, 0.3, 0.999, 1.001, 2.0, 50.0):
-            assert p_chernoff(x, 2.0) < 0.0
+        for x in (-0.99, -0.7, -0.001, -1e-150, 1e-150, 0.001, 1.0, 49.0):
+            assert _log1pmx(x) < 0.0
+        rng = np.random.default_rng(403)
+        for _ in range(40):
+            rep = upper_bound_perr(_random_params(rng))
+            assert rep.log_p_d1 < 0.0 and rep.log_p_d2 < 0.0
 
     def test_scales_linearly_in_beta(self):
-        assert p_chernoff(3.0, 10.0) == pytest.approx(10.0 * p_chernoff(3.0, 1.0))
+        # the tail terms' beta = S (M - K) / 2 is the only place S enters them
+        rng = np.random.default_rng(402)
+        for _ in range(40):
+            p = _random_params(rng)
+            rep, rep10 = upper_bound_perr(p), upper_bound_perr(replace(p, s=10 * p.s))
+            assert rep10.log_p_d1 == pytest.approx(10.0 * rep.log_p_d1, rel=1e-15)
+            assert rep10.log_p_d2 == pytest.approx(10.0 * rep.log_p_d2, rel=1e-15)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            p_chernoff(0.0, 1.0)
-        with pytest.raises(DomainError):
-            p_chernoff(-1.0, 1.0)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_within_four_ulp_of_the_reference_below_an_eighth(self, sign):
+        # from 2.2e-154 down the value, about -x^2/2, is no longer a normal float
+        for mag in np.geomspace(2.2250738585072014e-154, 0.125, 1000, endpoint=False):
+            x = sign * float(mag)
+            assert _ulps(_log1pmx(x), log1pmx_reference(x)) <= 4, x
+
+    def test_direct_form_from_an_eighth(self):
+        for x in (0.125, -0.125, 0.17, -0.3, 0.5, -0.5, -0.999, 5.0, 1e10, 1e300):
+            assert _log1pmx(x) == math.log1p(x) - x
+
+    def test_tail_terms_are_the_kernel_at_the_printed_tilts(self):
+        # beta (log(1 + x) - x) at x = d1 and x = d2 - 1 against 60 digits:
+        # within 4 ulp where the kernel sums its series, and within the direct
+        # form's own rounding (17 ulp near 1/8, fewer above) elsewhere
+        rng = np.random.default_rng(401)
+        small = 0
+        for _ in range(200):
+            p = _random_params(rng)
+            rep = upper_bound_perr(p)
+            beta = Decimal(p.s * (p.m - p.k)) / 2
+            for cell, x in ((rep.log_p_d1, rep.d1), (rep.log_p_d2, rep.d2_alpha_star - 1.0)):
+                small += abs(x) < 0.125
+                assert _ulps(cell, beta * log1pmx_reference(x)) <= (4 if abs(x) < 0.125 else 32)
+        assert small > 20
 
 
 class TestUpperBound:
@@ -73,8 +112,8 @@ class TestUpperBound:
         assert rep.d2_alpha_star == pytest.approx(6.0 / 11.0, rel=1e-12)
         assert rep.alpha_star == pytest.approx(11.0, rel=1e-12)
         beta = HAND.s * (HAND.m - HAND.k) / 2.0
-        assert rep.log_p_d1 == pytest.approx(p_chernoff(6.0, beta), rel=1e-12)
-        assert rep.log_p_d2 == pytest.approx(p_chernoff(6.0 / 11.0, beta), rel=1e-12)
+        assert rep.log_p_d1 == pytest.approx(beta * (math.log(6.0) - 5.0), rel=1e-12)
+        assert rep.log_p_d2 == pytest.approx(beta * (math.log(6.0 / 11.0) + 5.0 / 11.0), rel=1e-12)
         assert rep.log_binom == pytest.approx(math.log(45.0), rel=1e-12)
         expected = np.logaddexp(
             math.log(2.0) + rep.log_p_d1, rep.log_binom + rep.log_p_d2
@@ -305,6 +344,45 @@ class TestCorollary2:
             for loose, tight in _regimes(rep, "cor2"):
                 assert loose >= tight - 1e-9
             checked += 1
+
+
+# the pinned bounds points of tools/output_digest.py, at x_min^2 and sigma^2
+_PINNED_POINTS = {
+    "bounds": ProblemParams(n=64, k=4, m=5, s=2, sigma2=1.0, xmin2=1.0),
+    "bounds-vacuous-necessary": ProblemParams(n=2, k=1, m=2, s=1, sigma2=0.1, xmin2=1.0),
+    "bounds-cor2-nan": ProblemParams(n=64, k=4, m=16, s=2, sigma2=2.0, xmin2=1.0),
+    "bounds-s100": ProblemParams(n=6, k=1, m=2, s=100, sigma2=1e-4, xmin2=1.0, rho=1.2),
+    "bounds-xmin2": ProblemParams(n=6, k=1, m=2, s=1, sigma2=0.37, xmin2=0.37, rho=7.0),
+    "bounds-low-snr": ProblemParams(n=6, k=2, m=4, s=1, sigma2=1e4, xmin2=1.0),
+}
+
+
+def _dimensionless_cells(p):
+    """Every report cell but sigma2, xmin2 and alpha_star, which carry units."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the vacuous necessary count
+        rows = (
+            (BOUND_REPORT_CSV_HEADER, upper_bound_perr(p).csv_row()),
+            (SUFFICIENCY_CSV_HEADER, sufficiency_report(p).csv_row()),
+        )
+    return [
+        (name, cell)
+        for header, row in rows
+        for name, cell in zip(header.split(","), row.split(","))
+        if name not in ("sigma2", "xmin2", "alpha_star")
+    ]
+
+
+class TestScaleFree:
+    @pytest.mark.parametrize("label", sorted(_PINNED_POINTS))
+    def test_rescaling_by_a_power_of_two_moves_no_dimensionless_cell(self, label):
+        # scaling x_min^2 and sigma^2 by 2^j is exact, and so is every ratio
+        # of them the closed forms take, while both stay normal floats
+        p = _PINNED_POINTS[label]
+        expected = _dimensionless_cells(p)
+        for j in range(-1000, 1001, 8):
+            scaled = replace(p, sigma2=math.ldexp(p.sigma2, j), xmin2=math.ldexp(p.xmin2, j))
+            assert _dimensionless_cells(scaled) == expected, j
 
 
 class TestMuFactors:

@@ -479,33 +479,41 @@ class TestCommands:
         assert cells["upper_clamped"] == "1.0"
 
     @pytest.mark.parametrize(
-        "flags, sweep_bound_error",
+        "flags, leaves_range",
         [
-            ("--snr 1e-20", False),  # nu2's log(1-t) + t rounds to 0
-            ("--snr 1e300", True),  # sigma2**2 underflows to 0
-            ("--xmin2 1e-300 --snr 10", True),
-            ("--snr 1e-300", True),  # sigma2**2 overflows
-            ("--snr 10 --rho 1e20", False),  # Corollary 3's log mu_I rounds to 0
+            ("--snr 1e-20", False),
+            ("--snr 1e300", False),
+            ("--xmin2 1e-300 --snr 10", False),
+            ("--snr 1e-300", True),  # t^2 underflows, so nu2 divides by zero
+            ("--snr 10 --rho 1e20", False),
+            ("--xmin2 1e200 --snr 1", False),  # rescalings of --xmin2 1 --snr 1
+            ("--xmin2 1e-200 --snr 1", False),
         ],
     )
-    def test_closed_forms_out_of_float_range(self, flags, sweep_bound_error, tmp_path, capsys):
+    def test_closed_forms_out_of_float_range(self, flags, leaves_range, tmp_path, capsys):
         point = ["--n", "6", "--k", "2", "--s", "1", *flags.split()]
-        assert main(["bounds", "--m", "4", *point]) == 2
+        rc = main(["bounds", "--m", "4", *point])
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: closed forms leave float range")
-        assert captured.err.count("\n") == 1
-        # the sweep computes only the upper bound, and records its error per row
+        if leaves_range:
+            assert rc == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error: closed forms leave float range")
+            assert captured.err.count("\n") == 1
+        else:
+            assert rc == 0
+            assert captured.err == ""
+            bound_header, bound_row, suff_header, suff_row = captured.out.splitlines()[:4]
+            cells = dict(zip(f"{bound_header},{suff_header}".split(","), f"{bound_row},{suff_row}".split(",")))
+            snr_min = float(cells["xmin2"]) / float(cells["sigma2"])
+            for name, cell in cells.items():
+                # Corollary 2's cells are NaN below SNR_min = 1, by design
+                assert math.isfinite(float(cell)) or (name.startswith("m_cor2") and snr_min < 1.0), name
+        # the sweep computes only the upper bound, which stays in range at every point
         out = tmp_path / "grid.csv"
         argv = ["sweep", *point, "--trials", "4", "--axis", "m", "--values", "3,4", "--out", str(out)]
         assert main(argv) == 0
         errors = [row["error"] for row in csv.DictReader(out.read_text().splitlines())]
-        assert len(errors) == 2
-        for error in errors:
-            if sweep_bound_error:
-                assert error.startswith("bound: closed forms leave float range")
-            else:
-                assert error == ""
+        assert errors == ["", ""]
 
     def test_sweep_refuses_a_zero_snr_grid_value(self, capsys):
         rc = main(

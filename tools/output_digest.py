@@ -7,13 +7,15 @@ own temporary directory, and prints one line per stdout and per --out
 file: the sha256, the exit code for a stdout, and a label. Before a sweep
 sidecar is hashed its time fields (created_unix, wall_time_s) are dropped.
 A '#' line first names the numpy version: the Monte Carlo and verify
-bytes depend on numpy. The verify lines also depend on the CPU kernel
-that OpenBLAS picks at load time, through the projector_vs_dense row's
-np.linalg.lstsq: its observed cell is a rounding gap of about 5e-16,
-which moves under OPENBLAS_CORETYPE=Haswell and =Prescott. No other
-printed cell moved under either, though Prescott's kernel also moves
-sample_quadform's values by an ulp. Two checkouts whose output bytes agree
-print identical lines, so
+bytes depend on numpy. They do not depend on the CPU kernel that
+OpenBLAS picks at load time: verify's dense projector reference is a
+Householder QR in elementwise numpy, sample_quadform sums its rows with
+einsum, and the one BLAS call left on a printed path,
+laurent_massart_check's np.linalg.norm, is exact at verify's unit
+weights in any order;
+tests/test_output_digests.py checks the verify runs and sweep-m under
+OPENBLAS_CORETYPE=Haswell and =Prescott. Two checkouts whose output
+bytes agree print identical lines, so
 
     diff <(python3 tools/output_digest.py PARENT) <(python3 tools/output_digest.py CHANGE)
 
