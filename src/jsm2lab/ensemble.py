@@ -1,10 +1,14 @@
-"""Jointly sparse ensembles, Gaussian sensing matrices, and noisy measurements.
+"""Jointly sparse signals, Gaussian sensing matrices, and noisy measurements.
 
 Model: S sparse vectors of length N share one unknown support of size K and
 are observed as y^s = F^s x^s + n^s, where each F^s is an independent M x N
 matrix with i.i.d. standard Gaussian entries and n^s is i.i.d. Gaussian
 noise with variance noise_var. Every vector gets its own sensing matrix;
 nothing except the support is shared between the S channels.
+
+The S signals are a plain read-only (S, N) array. The support travels
+beside them as a SupportSet to the consumers that need it (decode,
+decode_trials, typicality_stat), none of which reads the signals.
 
 The central signal quantity is the minimum residual energy: for a candidate
 support J, the energy of x^s outside J is ||x^s restricted to I \\ J||^2, and
@@ -86,37 +90,6 @@ class SupportSet:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.intp)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-
-@dataclass(frozen=True)
-class SparseEnsemble:
-    """S vectors sharing one support; zero off support, nonzero on it."""
-
-    vectors: np.ndarray
-    support: SupportSet
-
-    def __post_init__(self):
-        v = _readonly(np.atleast_2d(self.vectors), "vectors")
-        if v.ndim != 2:
-            raise InvalidDimensionError("vectors must be a (S, N) array")
-        if v.shape[1] != self.support.ambient_dim:
-            raise InvalidDimensionError(
-                f"vector length {v.shape[1]} != ambient dim {self.support.ambient_dim}"
-            )
-        on = np.zeros(v.shape[1], dtype=bool)
-        on[self.support.as_array()] = True
-        nonzero = v != 0.0
-        if nonzero[:, ~on].any():
-            raise InvalidParameterError("vectors must be exactly zero off the common support")
-        if not nonzero[:, on].all():
-            raise InvalidParameterError("vectors must be nonzero on every support index")
-        object.__setattr__(self, "vectors", v)
 
 
 @dataclass(frozen=True)
@@ -238,8 +211,8 @@ def sample_sparse_ensemble(
     x_max: Optional[float] = None,
     *,
     seed: Seed,
-) -> SparseEnsemble:
-    """Draw s jointly sparse vectors on the given support.
+) -> np.ndarray:
+    """Draw s jointly sparse vectors on the given support, as a read-only (s, N) array.
 
     amplitude_mode "fixed": every on-support entry is +-x_min with a random
     sign. amplitude_mode "uniform": magnitudes are uniform on [x_min, x_max]
@@ -258,7 +231,8 @@ def sample_sparse_ensemble(
         mags = rng.uniform(x_min, x_max, size=(s, k))
     vectors = np.zeros((s, support.ambient_dim))
     vectors[:, support.as_array()] = signs * mags
-    return SparseEnsemble(vectors, support)
+    vectors.setflags(write=False)
+    return vectors
 
 
 def sample_sensing(m: int, n: int, s: int, seed: Seed) -> SensingEnsemble:
@@ -270,25 +244,30 @@ def sample_sensing(m: int, n: int, s: int, seed: Seed) -> SensingEnsemble:
 
 
 def measure(
-    x: SparseEnsemble,
+    x: np.ndarray,
     f: SensingEnsemble,
     noise_var: float,
     seed: Seed,
 ) -> MeasurementEnsemble:
     """Form y^s = F^s x^s + n^s with n^s i.i.d. Gaussian of variance noise_var.
 
-    noise_var = 0 gives exact noiseless measurements (useful for oracle
-    tests; the bound formulas reject it separately because they divide by
-    the noise variance).
+    x is any (S, N) signal array (or nested list); it need not be sparse.
+    A NaN or infinite signal entry is refused with InvalidParameterError
+    without a scan of its own: F x is then not finite either, and
+    MeasurementEnsemble refuses non-finite measurements. noise_var = 0
+    gives exact noiseless measurements (useful for oracle tests; the bound
+    formulas reject it separately because they divide by the noise
+    variance).
     """
+    x = np.asarray(x, dtype=float)
     if not 0 <= noise_var < math.inf:
         raise InvalidRangeError(f"noise_var must be finite and >= 0, got {noise_var}")
-    # the (S, M, N) matrices' S and N against the (S, N) vectors'
-    if f.matrices.shape[::2] != x.vectors.shape:
+    # the (S, M, N) matrices' S and N against the (S, N) signals'
+    if f.matrices.shape[::2] != x.shape:
         raise InvalidDimensionError(
-            f"shape mismatch: matrices {f.matrices.shape} vs vectors {x.vectors.shape}"
+            f"shape mismatch: matrices {f.matrices.shape} vs signals {x.shape}"
         )
-    clean = np.einsum("smn,sn->sm", f.matrices, x.vectors)
+    clean = np.einsum("smn,sn->sm", f.matrices, x)
     if noise_var > 0:
         rng = as_rng(seed)
         clean = clean + math.sqrt(noise_var) * rng.standard_normal(clean.shape)

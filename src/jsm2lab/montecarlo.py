@@ -53,7 +53,6 @@ from .decoder import check_enumeration_budget, decode_trials, trials_per_walk
 from .ensemble import (
     AMPLITUDE_FIXED,
     ProblemParams,
-    SparseEnsemble,
     SupportSet,
     check_amplitudes,
     measure,
@@ -118,7 +117,7 @@ class EstimateWithCI:
 class TrialPlan:
     """Complete, reproducible description of one Monte Carlo experiment.
 
-    fix_signal=True draws one signal ensemble and conditions every trial on
+    fix_signal=True draws one set of S signals and conditions every trial on
     it, matching the conditional failure probability the bounds address;
     fix_signal=False redraws amplitudes each trial on the same support for
     average-case curves. The amplitude mode and x_max follow
@@ -177,9 +176,9 @@ def _block_rng(plan: TrialPlan, role: int, block: int) -> np.random.Generator:
 
 
 def _signals(plan: TrialPlan, support: SupportSet, trials: int, block: int) -> np.ndarray:
-    """The (trials * S, N) signal vectors of one seed block's trials, S rows per trial.
+    """The (trials * S, N) signal array of one seed block's trials, S rows per trial.
 
-    A pinned signal is drawn once from stream index 0 and repeated; redrawn
+    A pinned signal is drawn once from stream index 0 and tiled; redrawn
     signals come from the block's stream in one call, since the sampler
     draws every sign before any magnitude and a split would move them.
     """
@@ -191,16 +190,17 @@ def _signals(plan: TrialPlan, support: SupportSet, trials: int, block: int) -> n
     x = sample_sparse_ensemble(
         support, draws * p.s, p.x_min, plan.amplitude_mode, plan.x_max, seed=rng
     )
-    return np.tile(x.vectors, (trials // draws, 1))
+    return np.tile(x, (trials // draws, 1))
 
 
 def _run_block(args: Tuple[TrialPlan, int]) -> np.ndarray:
     """Tally the four event counters, in RunResult's order, over one seed block.
 
     The block draws each role from its own stream and scores sub-blocks of
-    trials_per_walk trials, a walk each. A sub-block of T trials takes one
-    call per sampler with T*S vectors; matrices and noise are sequential
-    standard-normal draws, so the sub-block size does not change them.
+    trials_per_walk trials, a walk each. A sub-block of T trials measures
+    T*S fresh matrices against its T*S rows of the block's signal array,
+    passed as a slice. Matrices and noise are sequential standard-normal
+    draws, so the sub-block size does not change them.
     """
     plan, block = args
     p = plan.params
@@ -213,9 +213,8 @@ def _run_block(args: Tuple[TrialPlan, int]) -> np.ndarray:
     counts = np.zeros(4, dtype=np.int64)
     for first in range(0, trials, step):
         t = min(step, trials - first)
-        x = SparseEnsemble(signals[first * p.s : (first + t) * p.s], support)
         f = sample_sensing(p.m, p.n, t * p.s, f_rng)
-        y = measure(x, f, p.sigma2, n_rng)
+        y = measure(signals[first * p.s : (first + t) * p.s], f, p.sigma2, n_rng)
         events = decode_trials(
             f.matrices.reshape(t, p.s, p.m, p.n),
             y.measurements.reshape(t, p.s, p.m),

@@ -168,7 +168,7 @@ def test_06_incorrect_statistic_moments_through_pipeline():
         wrong = SupportSet(candidates[pick], n)
         missed = [i for i in sup.indices if i not in wrong.indices]
         alphas = [
-            float(np.sum(x.vectors[si, missed] ** 2)) + sigma2 for si in range(s)
+            float(np.sum(x[si, missed] ** 2)) + sigma2 for si in range(s)
         ]
         spec = QuadFormSpec.from_alpha(alphas, m, k)
         mean_t, var_t = spec.mean, spec.variance

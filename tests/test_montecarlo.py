@@ -17,7 +17,6 @@ from jsm2lab.ensemble import (
     MeasurementEnsemble,
     ProblemParams,
     SensingEnsemble,
-    SparseEnsemble,
     measure,
     sample_sensing,
     sample_sparse_ensemble,
@@ -208,7 +207,7 @@ def _block_instances(plan, block):
             support, p.s, p.x_min, plan.amplitude_mode, plan.x_max,
             seed=derive_rng(plan.master_seed, ROLE_SIGNAL, 0),
         )
-        x = SparseEnsemble(np.tile(x.vectors, (trials, 1)), support)
+        x = np.tile(x, (trials, 1))
     else:
         x = sample_sparse_ensemble(
             support, trials * p.s, p.x_min, plan.amplitude_mode, plan.x_max,

@@ -19,10 +19,13 @@ from jsm2lab.bounds import (
 )
 from jsm2lab.decoder import _trial_scores, decode, typicality_stat
 from jsm2lab.ensemble import (
+    AMPLITUDE_FIXED,
+    AMPLITUDE_MODES,
     MeasurementEnsemble,
     ProblemParams,
     SensingEnsemble,
     SupportSet,
+    sample_sparse_ensemble,
 )
 from jsm2lab.montecarlo import trend_residual, wilson_interval
 from jsm2lab.quadstats import QuadFormSpec
@@ -115,6 +118,38 @@ def test_spec_moments_match_closed_form(alphas, m):
     # ((M-K) sum alpha, 2 (M-K) sum alpha^2)
     assert math.isclose(spec.mean, (m - k) * sum(alphas), rel_tol=1e-12)
     assert math.isclose(spec.variance, 2.0 * (m - k) * sum(a * a for a in alphas), rel_tol=1e-12)
+
+
+@st.composite
+def support_strategy(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    indices = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    return SupportSet(tuple(sorted(indices)), n)
+
+
+@given(
+    support=support_strategy(),
+    s=st.integers(1, 6),
+    mode=st.sampled_from(AMPLITUDE_MODES),
+    x_min=st.floats(1e-3, 1e3),
+    spread=st.floats(1.0, 1e3),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_sampled_signals_are_jointly_sparse(support, s, mode, x_min, spread, seed):
+    # the sampler's postcondition: nothing downstream re-checks it
+    x_max = x_min * spread
+    x = sample_sparse_ensemble(support, s, x_min, mode, x_max, seed=seed)
+    assert isinstance(x, np.ndarray) and x.dtype == float and not x.flags.writeable
+    assert x.shape == (s, support.ambient_dim)
+    off = np.ones(support.ambient_dim, dtype=bool)
+    off[support.as_array()] = False
+    assert not x[:, off].any()
+    mags = np.abs(x[:, support.as_array()])
+    if mode == AMPLITUDE_FIXED:
+        assert (mags == x_min).all()
+    else:
+        assert ((x_min <= mags) & (mags <= x_max)).all()
 
 
 @given(st.lists(st.floats(0.0, 1.0), max_size=12))

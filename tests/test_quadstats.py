@@ -224,7 +224,7 @@ class TestPipelineCrossCheck:
         wrong = SupportSet(tuple(sorted((sup.indices[0], outside))), n)
         missed_idx = [i for i in sup.indices if i not in wrong.indices]
         alphas = [
-            float(np.sum(x.vectors[si, missed_idx] ** 2)) + sigma2 for si in range(s)
+            float(np.sum(x[si, missed_idx] ** 2)) + sigma2 for si in range(s)
         ]
         p = ProblemParams(n=n, k=k, m=m, s=s, sigma2=sigma2, xmin2=1.0, rho=2.0)
         trials = 4_000

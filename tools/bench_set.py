@@ -11,12 +11,15 @@ runs first on a drifting host. Run length is the benchmark's run_seconds.
 
 BENCH_<label>.json holds, per workload, the record and result line of every
 run and, per end-to-end metric, the median and the quartiles of the runs,
-together with the checkout's commit and the machine's core count.
+together with the checkout's commit, a sha256 of its benchmarked source
+files (read without git, so that a checkout outside git is named too) and
+the machine's core count.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -38,6 +41,21 @@ def git_commit(checkout: Path) -> str:
         ["git", "-C", str(checkout), "diff", "--quiet", "HEAD"], capture_output=True
     )
     return head.stdout.strip() + ("+dirty" if dirty.returncode else "")
+
+
+# The files whose bytes decide what a benchmark run measures.
+SOURCE_GLOBS = ("src/jsm2lab/*.py", "perfbench/*.py", "BENCHMARK.json")
+
+
+def source_sha256(checkout: Path) -> str:
+    """sha256 over the checkout's SOURCE_GLOBS files in order of relative path."""
+    files = sorted(p.relative_to(checkout).as_posix() for g in SOURCE_GLOBS for p in checkout.glob(g))
+    digest = hashlib.sha256()
+    for rel in files:
+        data = (checkout / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict:
@@ -116,6 +134,7 @@ def main(argv=None) -> int:
             "format": "jsm2lab-bench-set-1",
             "label": label,
             "commit": git_commit(checkout),
+            "source_sha256": source_sha256(checkout),
             "nproc": os.cpu_count(),
             "command": "python3 perfbench/run.py --workload W --seed N "
                        f"--seconds {spec['run_seconds']} --trace 0",
