@@ -49,20 +49,23 @@ arrays, since repeat has no out= and a take into a buffer is about 2x
 slower. Where a score falls in its chunk can move its last bit only in a
 single-vector walk (see _WALK_SCORES).
 
-The walk does not care which trial a vector belongs to, so one walk scores
-a stack of T trials as T*S vectors. Its callers sum each trial's S vectors
-and hand the (T, candidates) scores to one selection step, vectorised over
+The walk only enumerates, and decode_trials is its one caller. The walk
+does not care which trial a vector belongs to, so it scores a stack of T
+trials as T*S vectors, and _trial_scores sums each trial's S vectors in
+order. decode_trials tests the (T, candidates) scores vectorised over
 trials: it counts typical candidates, records the true support's verdict
 (its position read from the prefix tables the walk enumerates) and keeps
 each trial's running best by a strict < across chunks and the first
 occurrence of the minimum within one, so ties go to the lexicographically
-smallest support. The same step turns its per-trial counts, verdicts and
-best positions into the failure events (TrialEvents), which decode_trials
-returns for the T trials that trials_per_walk allows and decode reads row
-0 of at T = 1. typicality_stat reads the scores of its one candidate from
-the same walk, and one shape check of the (T, S, M, N) and (T, S, M)
-stacks serves all three. Every decode refuses a problem of more than
-ENUMERATION_CAP candidates before any work.
+smallest support. It returns the failure events and each trial's decision
+as a position (TrialEvents) for the T trials that trials_per_walk allows;
+decode is the same call on a stack of one, and maps its decision back to
+a support. Every decode takes the true support and refuses a problem of
+more than ENUMERATION_CAP candidates before any work. A fixed support is
+scored by the block core: typicality_stat sums residual_energies over its
+S blocks in order, which gives decode's own score of it wherever that
+score does not depend on its place in a chunk (see _WALK_SCORES). One
+shape check of the (T, S, M, N) and (T, S, M) stacks serves both.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ class TypicalityStat:
     value: float
     centered: float
     threshold: float
-    rank_ok: bool = True
+    rank_ok: bool
 
     @property
     def typical(self) -> bool:
@@ -119,12 +122,15 @@ class TrialEvents:
 
     The fields mean what DecodeOutcome's do: correct_typical and
     decode_error are boolean arrays, num_incorrect_typical an integer
-    array, and event_failure their union.
+    array, and event_failure their union. decoded_at holds each trial's
+    decision as its lexicographic position among the C(N, K) candidates,
+    or -1 when none is typical.
     """
 
     correct_typical: np.ndarray
     num_incorrect_typical: np.ndarray
     decode_error: np.ndarray
+    decoded_at: np.ndarray
 
     @property
     def event_failure(self) -> np.ndarray:
@@ -135,18 +141,17 @@ class TrialEvents:
 class DecodeOutcome:
     """Decoder decision plus failure-event bookkeeping for one instance.
 
-    decoded is None when no candidate is typical. The event fields are None
-    unless the true support was supplied: correct_typical reports whether
-    the true support passed the test, num_incorrect_typical counts typical
-    incorrect candidates, event_failure is their union (the bounded
+    decoded is None when no candidate is typical. correct_typical reports
+    whether the true support passed the test, num_incorrect_typical counts
+    typical incorrect candidates, event_failure is their union (the bounded
     quantity), and decode_error reports decoded != true support.
     """
 
     decoded: Optional[SupportSet]
-    correct_typical: Optional[bool] = None
-    num_incorrect_typical: Optional[int] = None
-    event_failure: Optional[bool] = None
-    decode_error: Optional[bool] = None
+    correct_typical: bool
+    num_incorrect_typical: int
+    event_failure: bool
+    decode_error: bool
 
 
 # ---- Modified Gram-Schmidt core -----------------------------------------
@@ -295,7 +300,8 @@ def typicality_stat(
 ) -> TypicalityStat:
     """Evaluate the typicality test decode applies to candidate support j.
 
-    The value is scored by decode's own core on the K columns of j; the
+    residual_energies scores the S blocks of j's K columns, and their
+    residuals are summed in order, as the walk adds a trial's vectors; the
     centered value subtracts S(M-K) params.sigma2 and the threshold is
     S*M*params.delta. A rank-deficient block marks the stat not typical
     while the value is still reported.
@@ -303,10 +309,10 @@ def typicality_stat(
     _check_stacks(f.matrices[None], y.measurements[None], params)
     _check_support(j, params)
     center, threshold = _window(params)
-    columns = f.matrices[None, :, :, j.as_array()]
-    _, value, ok = next(_trial_scores(columns, y.measurements[None], j.size))
-    value = float(value[0, 0])
-    return TypicalityStat(value, value - center, threshold, bool(ok[0, 0]))
+    resid, ok = residual_energies(f.matrices[:, :, j.as_array()], y.measurements)
+    # a running sum: sum() adds pairwise from 8 terms on
+    value = float(np.add.accumulate(resid)[-1])
+    return TypicalityStat(value, value - center, threshold, bool(ok.all()))
 
 
 # One (child_off, unc) pair per non-leaf level of the prefix tree
@@ -468,58 +474,6 @@ def _trial_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
         _IDLE_BUFFERS.append(bufs)
 
 
-def _select(
-    matrices: np.ndarray,
-    measurements: np.ndarray,
-    params: ProblemParams,
-    true_support: Optional[SupportSet],
-) -> Tuple[TrialEvents, np.ndarray]:
-    """The selection step over every candidate of t trials scored in one walk.
-
-    matrices and measurements are stacked as _check_stacks requires. Returns
-    the failure events of each trial against the true support (meaningless
-    without one) and the lexicographic position of each trial's typical
-    candidate with the smallest |centered| value (-1 when none is typical).
-    Chunks arrive in lexicographic order, and a strict < across chunks with
-    the first occurrence of the minimum within one keeps the earliest tie.
-    """
-    _check_stacks(matrices, measurements, params)
-    center, threshold = _window(params)
-    check_enumeration_budget(params)
-    i_true = -1
-    if true_support is not None:
-        _check_support(true_support, params)
-        i_true = _lex_rank(_prefix_tables(params.n, params.k), true_support.indices)
-    t = matrices.shape[0]
-    num_typical = np.zeros(t, dtype=np.int64)
-    true_typical = np.zeros(t, dtype=bool)
-    best_abs = np.full(t, math.inf)
-    best = np.full(t, -1, dtype=np.intp)
-    for lo, value, ok in _trial_scores(matrices, measurements, params.k):
-        abs_centered = np.abs(value - center)
-        typical = _typical(ok, abs_centered, threshold)
-        num_typical += typical.sum(axis=1)
-        if lo <= i_true < lo + value.shape[1]:
-            true_typical = typical[:, i_true - lo]
-        # a row's smallest full-rank |centered| is its best typical candidate
-        # when that one passes the test; fmin skips NaN. Only rows whose best
-        # improves look for the position, the first equal entry, which is the
-        # earliest of a tie
-        cand_abs = np.fmin.reduce(abs_centered, axis=1, where=ok, initial=math.inf)
-        better = _typical(True, cand_abs, threshold) & (cand_abs < best_abs)
-        if better.any():
-            rows = np.flatnonzero(better)
-            hit = (abs_centered[rows] == cand_abs[rows, None]) & ok[rows]
-            best_abs[rows] = cand_abs[rows]
-            best[rows] = lo + hit.argmax(axis=1)
-    events = TrialEvents(
-        correct_typical=true_typical,
-        num_incorrect_typical=num_typical - true_typical,
-        decode_error=best != i_true,
-    )
-    return events, best
-
-
 def _support_at(tables: _Tables, i: int) -> Tuple[int, ...]:
     """The candidate support at position i of the last level, _lex_rank's inverse.
 
@@ -558,39 +512,6 @@ def check_enumeration_budget(params: ProblemParams) -> None:
         )
 
 
-def decode(
-    y: MeasurementEnsemble,
-    f: SensingEnsemble,
-    params: ProblemParams,
-    true_support: Optional[SupportSet] = None,
-) -> DecodeOutcome:
-    """Exhaustive typicality decoding over all C(N, K) candidate supports.
-
-    Enumerates candidates lexicographically, applies the typicality test
-    with the slack params.delta, and selects the typical candidate
-    minimizing |centered|, breaking ties toward the lexicographically
-    smallest. With true_support supplied the outcome also carries the
-    failure events, the ones decode_trials reports for a stack of one.
-
-    Raises EnumerationBudgetError before any work when C(N, K) exceeds
-    ENUMERATION_CAP.
-    """
-    n = params.n
-    events, best = _select(f.matrices[None], y.measurements[None], params, true_support)
-    decoded = None
-    if best[0] >= 0:
-        decoded = SupportSet(_support_at(_prefix_tables(n, params.k), int(best[0])), n)
-    if true_support is None:
-        return DecodeOutcome(decoded)
-    return DecodeOutcome(
-        decoded=decoded,
-        correct_typical=bool(events.correct_typical[0]),
-        num_incorrect_typical=int(events.num_incorrect_typical[0]),
-        event_failure=bool(events.event_failure[0]),
-        decode_error=bool(events.decode_error[0]),
-    )
-
-
 def trials_per_walk(params: ProblemParams) -> int:
     """Trials to stack per decode_trials call: T*S*C(N, K) within _WALK_SCORES, and T >= 1."""
     return max(1, _WALK_SCORES // (params.s * math.comb(params.n, params.k)))
@@ -606,7 +527,77 @@ def decode_trials(
 
     matrices is (T, S, M, N) and measurements (T, S, M): trial t is the
     instance decode would get as SensingEnsemble(matrices[t]) and
-    MeasurementEnsemble(measurements[t]), and its events are the ones decode
-    reports for it. trials_per_walk bounds the T worth stacking.
+    MeasurementEnsemble(measurements[t]). Every candidate is scored and
+    tested, and each trial decides for its typical candidate with the
+    smallest |centered| value. Chunks arrive in lexicographic order, and a
+    strict < across chunks with the first occurrence of the minimum within
+    one keeps the earliest tie. trials_per_walk bounds the T worth
+    stacking.
+
+    Raises EnumerationBudgetError before any work when C(N, K) exceeds
+    ENUMERATION_CAP.
     """
-    return _select(matrices, measurements, params, true_support)[0]
+    _check_stacks(matrices, measurements, params)
+    center, threshold = _window(params)
+    check_enumeration_budget(params)
+    _check_support(true_support, params)
+    i_true = _lex_rank(_prefix_tables(params.n, params.k), true_support.indices)
+    t = matrices.shape[0]
+    num_typical = np.zeros(t, dtype=np.int64)
+    true_typical = np.zeros(t, dtype=bool)
+    best_abs = np.full(t, math.inf)
+    best = np.full(t, -1, dtype=np.intp)
+    for lo, value, ok in _trial_scores(matrices, measurements, params.k):
+        abs_centered = np.abs(value - center)
+        typical = _typical(ok, abs_centered, threshold)
+        num_typical += typical.sum(axis=1)
+        if lo <= i_true < lo + value.shape[1]:
+            true_typical = typical[:, i_true - lo]
+        # a row's smallest full-rank |centered| is its best typical candidate
+        # when that one passes the test; fmin skips NaN. Only rows whose best
+        # improves look for the position, the first equal entry, which is the
+        # earliest of a tie
+        cand_abs = np.fmin.reduce(abs_centered, axis=1, where=ok, initial=math.inf)
+        better = _typical(True, cand_abs, threshold) & (cand_abs < best_abs)
+        if better.any():
+            rows = np.flatnonzero(better)
+            hit = (abs_centered[rows] == cand_abs[rows, None]) & ok[rows]
+            best_abs[rows] = cand_abs[rows]
+            best[rows] = lo + hit.argmax(axis=1)
+    return TrialEvents(
+        correct_typical=true_typical,
+        num_incorrect_typical=num_typical - true_typical,
+        decode_error=best != i_true,
+        decoded_at=best,
+    )
+
+
+def decode(
+    y: MeasurementEnsemble,
+    f: SensingEnsemble,
+    params: ProblemParams,
+    true_support: SupportSet,
+) -> DecodeOutcome:
+    """Exhaustive typicality decoding of one instance against its true support.
+
+    decode_trials on a stack of one: enumerates all C(N, K) candidates
+    lexicographically, applies the typicality test with the slack
+    params.delta, and selects the typical candidate minimizing |centered|,
+    breaking ties toward the lexicographically smallest. The outcome
+    carries that decision and the trial's failure events.
+
+    Raises EnumerationBudgetError before any work when C(N, K) exceeds
+    ENUMERATION_CAP.
+    """
+    events = decode_trials(f.matrices[None], y.measurements[None], params, true_support)
+    at = int(events.decoded_at[0])
+    decoded = None
+    if at >= 0:
+        decoded = SupportSet(_support_at(_prefix_tables(params.n, params.k), at), params.n)
+    return DecodeOutcome(
+        decoded=decoded,
+        correct_typical=bool(events.correct_typical[0]),
+        num_incorrect_typical=int(events.num_incorrect_typical[0]),
+        event_failure=bool(events.event_failure[0]),
+        decode_error=bool(events.decode_error[0]),
+    )

@@ -252,9 +252,10 @@ def measure(
     """Form y^s = F^s x^s + n^s with n^s i.i.d. Gaussian of variance noise_var.
 
     x is any (S, N) signal array (or nested list); it need not be sparse.
-    A NaN or infinite signal entry is refused with InvalidParameterError
-    without a scan of its own: F x is then not finite either, and
-    MeasurementEnsemble refuses non-finite measurements. noise_var = 0
+    A signal whose F x is not finite (a NaN or infinite entry, or a product
+    that overflows) is refused with InvalidParameterError without a scan
+    of its own: the matrices and the noise are finite, so only the signal
+    can make the measurements that MeasurementEnsemble refuses. noise_var = 0
     gives exact noiseless measurements (useful for oracle tests; the bound
     formulas reject it separately because they divide by the noise
     variance).
@@ -271,4 +272,7 @@ def measure(
     if noise_var > 0:
         rng = as_rng(seed)
         clean = clean + math.sqrt(noise_var) * rng.standard_normal(clean.shape)
-    return MeasurementEnsemble(clean)
+    try:
+        return MeasurementEnsemble(clean)
+    except InvalidParameterError:
+        raise InvalidParameterError("signal must be finite, and F x must not overflow") from None

@@ -321,10 +321,9 @@ def _run_plans(plans: Sequence[TrialPlan], jobs: int) -> List[RunResult]:
     """The event-rate estimates of every plan, in plan order.
 
     Every (plan, seed block) unit of the run goes to one map over
-    min(jobs, units) workers: in this process alone when that is 1, else
-    over this process and forked ones (_fork_join). Budgets are the
-    caller's to check first. Raises InvalidRangeError for jobs < 1, whatever
-    the work.
+    min(jobs, units) workers, this process and forked ones (_fork_join),
+    which forks none for one worker. Budgets are the caller's to check
+    first. Raises InvalidRangeError for jobs < 1, whatever the work.
     """
     if jobs < 1:
         raise InvalidRangeError(f"jobs must be >= 1, got {jobs}")
@@ -333,7 +332,7 @@ def _run_plans(plans: Sequence[TrialPlan], jobs: int) -> List[RunResult]:
     if workers > 1 and not hasattr(os, "fork"):
         warnings.warn(f"no os.fork here: {len(units)} seed blocks run in this process only")
         workers = 1
-    parts = iter(_fork_join(units, workers) if workers > 1 else map(_run_block, units))
+    parts = iter(_fork_join(units, workers))
     results = []
     for plan in plans:
         counts = sum(itertools.islice(parts, _blocks(plan)), np.zeros(4, dtype=np.int64))

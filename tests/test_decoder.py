@@ -174,6 +174,22 @@ class TestTypicalityStat:
         # half-width 3*5*delta = 4.5
         assert verdicts == [True, False]
 
+    @pytest.mark.parametrize("n, k, m, s", [(9, 2, 5, 1), (12, 3, 7, 1), (10, 2, 6, 2), (14, 3, 12, 9)])
+    def test_value_is_the_walks_score_of_the_candidate(self, n, k, m, s):
+        # the block core and the walk score a candidate with the same bits at
+        # the default chunk, where each level of these problems fits in one
+        tables = decoder._prefix_tables(n, k)
+        p = ProblemParams(n=n, k=k, m=m, s=s, sigma2=1.0, xmin2=1.0)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            f = SensingEnsemble(rng.standard_normal((s, m, n)))
+            y = MeasurementEnsemble(rng.standard_normal((s, m)))
+            walk = decoder._trial_scores(f.matrices[None], y.measurements[None], k)
+            for lo, value, _ in walk:
+                for i, score in enumerate(value[0], start=lo):
+                    j = SupportSet(decoder._support_at(tables, i), n)
+                    assert typicality_stat(j, y, f, p).value == score
+
 
 class TestDecode:
     def test_high_snr_recovers_support(self):
@@ -249,13 +265,6 @@ class TestDecode:
         with pytest.raises(InvalidRangeError):
             replace(p, delta_override=math.nan)
 
-    def test_without_true_support_flags_are_none(self):
-        sup, x, f, y, p = _instance(6, 2, 4, 2, 1.0, 4.0)
-        out = decode(y, f, p)
-        assert out.correct_typical is None
-        assert out.event_failure is None
-        assert out.decode_error is None
-
     def test_enumeration_cap(self):
         # C(64, 5) = 7,624,512 candidates are refused before any work
         sup, x, f, y, p = _instance(64, 5, 6, 1, 1.0, 4.0)
@@ -267,7 +276,7 @@ class TestDecode:
         sup, x, f, y, _ = _instance(6, 2, 4, 2, 1.0, 4.0)
         other = ProblemParams(n=6, k=2, m=4, s=3, sigma2=1.0, xmin2=4.0)
         with pytest.raises(InvalidDimensionError):
-            decode(y, f, other)
+            decode(y, f, other, true_support=sup)
 
     @pytest.mark.parametrize("bad", [((0, 1, 2), 6), ((0, 1), 9)], ids=["size", "ambient"])
     def test_true_support_must_match_params(self, bad):
@@ -478,18 +487,24 @@ class TestDecodeTrials:
             _instance(7, 2, 4, 3, 0.3, 1.0, seeds=(5, 10 + t, 20 + t, 30 + t)) for t in range(6)
         ]
         support, _, _, _, p = instances[0]
-        events = decode_trials(
-            np.stack([f.matrices for _, _, f, _, _ in instances]),
-            np.stack([y.measurements for _, _, _, y, _ in instances]),
-            p,
-            support,
-        )
-        outs = [decode(y, f, p, true_support=support) for _, _, f, y, _ in instances]
-        assert events.correct_typical.tolist() == [o.correct_typical for o in outs]
-        assert events.num_incorrect_typical.tolist() == [o.num_incorrect_typical for o in outs]
-        assert events.decode_error.tolist() == [o.decode_error for o in outs]
-        assert events.event_failure.tolist() == [o.event_failure for o in outs]
-        assert 0 < sum(o.event_failure for o in outs) < len(outs)
+        tables = decoder._prefix_tables(p.n, p.k)
+        # at the narrower window one trial finds nothing typical
+        for params in (p, replace(p, delta_override=0.05)):
+            events = decode_trials(
+                np.stack([f.matrices for _, _, f, _, _ in instances]),
+                np.stack([y.measurements for _, _, _, y, _ in instances]),
+                params,
+                support,
+            )
+            outs = [decode(y, f, params, true_support=support) for _, _, f, y, _ in instances]
+            decided = [decoder._support_at(tables, i) if i >= 0 else None for i in events.decoded_at]
+            assert decided == [o.decoded.indices if o.decoded else None for o in outs]
+            assert events.correct_typical.tolist() == [o.correct_typical for o in outs]
+            assert events.num_incorrect_typical.tolist() == [o.num_incorrect_typical for o in outs]
+            assert events.decode_error.tolist() == [o.decode_error for o in outs]
+            assert events.event_failure.tolist() == [o.event_failure for o in outs]
+            assert 0 < sum(o.event_failure for o in outs) < len(outs)
+        assert decided.count(None) == 1
 
     def test_shape_mismatch(self):
         sup, x, f, y, p = _instance(6, 2, 4, 2, 1.0, 4.0)

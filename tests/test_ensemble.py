@@ -269,11 +269,13 @@ class TestNonFiniteInput:
             MeasurementEnsemble(y)
 
     def test_signal_vectors_must_be_finite(self):
+        # finite entries whose product F x overflows are refused the same way
         f = sample_sensing(3, 3, 1, 2)
-        for bad in (math.inf, -math.inf, math.nan):
+        signals = [[[bad, 0.0, 0.0]] for bad in (math.inf, -math.inf, math.nan)] + [[[1e308] * 3]]
+        for x in signals:
             for noise_var in (0.0, 1.0):
-                with pytest.raises(InvalidParameterError):
-                    measure([[bad, 0.0, 0.0]], f, noise_var, 3)
+                with pytest.raises(InvalidParameterError, match="signal"):
+                    measure(x, f, noise_var, 3)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_measure_rejects_non_finite_noise_var(self, bad):

@@ -13,7 +13,12 @@ BENCH_<label>.json holds, per workload, the record and result line of every
 run and, per end-to-end metric, the median and the quartiles of the runs,
 together with the checkout's commit, a sha256 of its benchmarked source
 files (read without git, so that a checkout outside git is named too) and
-the machine's core count.
+the machine's core count. The change's file also holds, under "versus",
+each end-to-end metric of BENCHMARK.json on each workload compared with
+the parent: the ratio of the change's median to the parent's, and the
+seeds on which the change's run beat the parent's run of the same seed
+in the metric's better direction (ties count for neither side). One
+stderr line per workload and metric gives the same figures.
 """
 
 from __future__ import annotations
@@ -88,6 +93,30 @@ def summarize(runs: List[Dict]) -> Dict[str, Dict]:
     return out
 
 
+def versus(parent: List[Dict], change: List[Dict], metrics: List[Dict]) -> Dict[str, Dict]:
+    """Change against parent on each metric: median ratio and per-seed pair wins.
+
+    parent and change are one workload's runs of each side, and metrics
+    the end-to-end entries of BENCHMARK.json. The ratio is None when the
+    parent's median is 0.
+    """
+    out = {}
+    for metric in metrics:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        values = [{run["seed"]: run["result"]["metrics"][name]["value"] for run in side}
+                  for side in (parent, change)]
+        pairs = [(values[0][seed], values[1][seed]) for seed in values[0]]
+        medians = [statistics.median(side.values()) for side in values]
+        out[name] = {
+            "better": metric["better"],
+            "ratio": medians[1] / medians[0] if medians[0] else None,
+            "wins": sum(sign * (c - p) > 0 for p, c in pairs),
+            "losses": sum(sign * (c - p) < 0 for p, c in pairs),
+            "pairs": len(pairs),
+        }
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", metavar="LABEL=CHECKOUT", help="the parent checkout")
@@ -129,6 +158,15 @@ def main(argv=None) -> int:
                       f"failed {run['result']['failed']} ({time.monotonic() - start:.0f} s)",
                       file=sys.stderr)
 
+    (parent, _), (change, _) = sides
+    compared = {w: versus(runs[parent][w], runs[change][w], spec["end_to_end"]) for w in workloads}
+    for workload, metrics in compared.items():
+        for name, c in metrics.items():
+            ratio = "n/a" if c["ratio"] is None else f"{c['ratio']:.4f}"
+            print(f"{workload} {name}: {change}/{parent} median {ratio}, change better in "
+                  f"{c['wins']} of {c['pairs']} pairs, worse in {c['losses']} "
+                  f"({c['better']} is better)", file=sys.stderr)
+
     for label, checkout in sides:
         doc = {
             "format": "jsm2lab-bench-set-1",
@@ -146,6 +184,8 @@ def main(argv=None) -> int:
                 for w in workloads
             },
         }
+        if label == change:
+            doc["versus"] = {"parent": parent, "workloads": compared}
         path = Path(args.out_dir) / f"BENCH_{label}.json"
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}", file=sys.stderr)
