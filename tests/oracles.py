@@ -8,6 +8,8 @@ transcriptions. The package must agree with these, never import them.
 import decimal
 import itertools
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,6 +31,28 @@ def dense_projection_residual_pinv(block, y):
     q = np.eye(block.shape[0]) - block @ np.linalg.pinv(block)
     r = q @ y
     return float(r @ r)
+
+
+def exact_residual(block, y):
+    """y^T y - b^T G^{-1} b exactly, for G = F^T F and b = F^T y, as a Fraction.
+
+    Every float is an integer over a power of two, so [F y] scaled by the
+    largest of those powers is an integer matrix with an exact integer Gram
+    matrix. Gaussian elimination on its first k pivots, in Fractions,
+    leaves the Schur complement of G, the scaled residual, in the last
+    entry. Nothing is rounded, so the value does not depend on the platform.
+    """
+    aug = np.column_stack([np.asarray(block, dtype=float), np.asarray(y, dtype=float)])
+    ratios = [[x.as_integer_ratio() for x in col] for col in aug.T.tolist()]
+    scale = max(q for col in ratios for _, q in col)
+    cols = [[p * (scale // q) for p, q in col] for col in ratios]
+    g = [[Fraction(sum(map(operator.mul, a, b))) for b in cols] for a in cols]
+    for j in range(len(g) - 1):
+        for row in g[j + 1 :]:
+            f = row[j] / g[j][j]
+            for c in range(j + 1, len(g)):
+                row[c] -= f * g[j][c]
+    return g[-1][-1] / scale**2
 
 
 def brute_force_stats(y_arr, f_arr, noise_var, k, delta):

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from oracles import (
     brute_force_decode,
     brute_force_stats,
     dense_projection_residual,
+    exact_residual,
 )
 
 
@@ -106,6 +108,44 @@ def _instance(n, k, m, s, sigma2, xmin2, seeds=(1, 2, 3, 4), rho=2.0, **kw):
     y = measure(x, f, sigma2, seeds[3])
     p = ProblemParams(n=n, k=k, m=m, s=s, sigma2=sigma2, xmin2=xmin2, rho=rho, **kw)
     return sup, x, f, y, p
+
+
+class TestScoreAccuracy:
+    """Scores are within the relative error bound decoder's module docstring states."""
+
+    # about ten times the largest error modified Gram-Schmidt made on these
+    # instances (3.9e-13, at P5)
+    BOUND = 4e-12
+
+    # P5; the sweep-fanout benchmark's point at M=7; K=1; M >> K
+    @pytest.mark.parametrize(
+        "n, k, m, s, t, sigma2",
+        [(64, 4, 5, 2, 1, 1.0), (16, 2, 7, 4, 4, 0.01), (40, 1, 3, 3, 12, 0.1), (24, 2, 16, 2, 2, 0.1)],
+    )
+    def test_walk_and_block_scores_against_exact_residuals(self, n, k, m, s, t, sigma2):
+        rng = np.random.default_rng(3)
+        support = sample_support(n, k, rng)
+        x = sample_sparse_ensemble(support, t * s, 1.0, seed=rng)
+        f = sample_sensing(m, n, t * s, rng)
+        matrices = f.matrices.reshape(t, s, m, n)
+        measurements = measure(x, f, sigma2, rng).measurements.reshape(t, s, m)
+        scores = np.concatenate([v for _, v, _ in decoder._trial_scores(matrices, measurements, k)], axis=1)
+        # the 200 smallest scores, where cancellation is worst, and 200 others
+        picks = np.concatenate(
+            [np.argsort(scores, axis=None)[:200], rng.choice(scores.size, 200, replace=False)]
+        )
+        trial, cand = np.divmod(picks, scores.shape[1])
+        tables = decoder._prefix_tables(n, k)
+        cols = np.array([decoder._support_at(tables, int(c)) for c in cand])
+        blocks = np.stack([matrices[tr][:, :, c] for tr, c in zip(trial, cols)])
+        resid, _ = decoder.residual_energies(blocks, measurements[trial])
+        block_scores = np.add.accumulate(resid, axis=1)[:, -1]
+        worst_walk = worst_block = 0.0
+        for i, (tr, walk, block) in enumerate(zip(trial, scores.ravel()[picks], block_scores)):
+            exact = sum(exact_residual(blocks[i, v], measurements[tr, v]) for v in range(s))
+            worst_walk = max(worst_walk, float(abs(Fraction(walk) - exact) / exact))
+            worst_block = max(worst_block, float(abs(Fraction(block) - exact) / exact))
+        assert worst_walk <= self.BOUND and worst_block <= self.BOUND
 
 
 class TestTypicalityStat:
