@@ -382,22 +382,25 @@ def _fourth_central_moment(draws: np.ndarray) -> float:
     return float(dev.mean())
 
 
-def _householder_residual(block: np.ndarray, y: np.ndarray) -> float:
-    """||y - P y||^2 for P the projector onto block's columns, by Householder QR.
+def _mgs2_residual(block: np.ndarray, y: np.ndarray) -> float:
+    """||y - P y||^2 for P the projector onto block's columns, by MGS2.
 
-    Each reflection is applied to the columns left and to y in elementwise
-    numpy (sum reductions and broadcasting), so no BLAS or LAPACK kernel,
-    which OpenBLAS picks by CPU, rounds the printed value.
+    Modified Gram-Schmidt with one re-orthogonalization pass: each column
+    is orthogonalized twice against the unit columns before it, then y
+    twice against all of them. An algorithm apart from the decoder's
+    Householder core, so the two check each other. Every step is
+    elementwise numpy (sum reductions and broadcasting), so no BLAS or
+    LAPACK kernel, which OpenBLAS picks by CPU, rounds the printed value.
     """
-    a, r = block.copy(), y.copy()
-    for j in range(a.shape[1]):
-        v = a[j:, j].copy()
-        v[0] += math.copysign(math.sqrt((v * v).sum()), v[0])
-        scale = 2.0 / (v * v).sum()
-        a[j:, j + 1 :] -= v[:, None] * (scale * (v[:, None] * a[j:, j + 1 :]).sum(axis=0))
-        r[j:] -= v * (scale * (v * r[j:]).sum())
-    tail = r[a.shape[1] :]
-    return float((tail * tail).sum())
+    basis: List[np.ndarray] = []
+    for a in [*block.T, y]:
+        a = a.copy()
+        for _ in range(2):
+            for q in basis:
+                a -= q * (q * a).sum()
+        if len(basis) == block.shape[1]:
+            return float((a * a).sum())
+        basis.append(a / math.sqrt((a * a).sum()))
 
 
 class _Call(threading.Thread):
@@ -470,8 +473,8 @@ def _verify_rows(seed: int, trials: int) -> List[Tuple[str, float, float, float,
     correct = _Call(sample_z_correct, m, k, s, n_samples, derive_rng(seed, ROLE_CHECK, 1))
     correct.start()
     try:
-        # Residuals from the factorized projector match a dense Householder
-        # QR, which calls no BLAS, so the printed gap is the same on any CPU.
+        # Residuals from the Householder core match MGS2, which calls no
+        # BLAS, so the printed gap is the same on any CPU.
         rng = derive_rng(seed, ROLE_CHECK, 0)
         worst = 0.0
         for _ in range(50):
@@ -479,7 +482,7 @@ def _verify_rows(seed: int, trials: int) -> List[Tuple[str, float, float, float,
             k = int(rng.integers(1, m))
             block = rng.standard_normal((m, k))
             y = rng.standard_normal(m)
-            dense = _householder_residual(block, y)
+            dense = _mgs2_residual(block, y)
             fast = projection_residual(block, y)
             worst = max(worst, abs(fast - dense) / max(1.0, dense))
 

@@ -17,37 +17,52 @@ bookkeeping distinguishes the event that the true support is not typical
 from the event that at least one incorrect candidate is typical; their
 union is the quantity the closed-form bounds control.
 
-Residuals come from modified Gram-Schmidt (MGS) on the augmented matrix
-[F^s_J y^s], never from a Gram-matrix inverse: each pivot column in turn is
-removed from every later column and from y. The norms of the deflated
-pivot columns are the factor diagonal |R_jj|, and the rank test requires
-the smallest above RANK_TOL times the largest.
+Residuals come from Householder reflections of the augmented matrix
+[F^s_J y^s], never from a Gram-matrix inverse (Golub and Van Loan, Matrix
+Computations, 4th ed., sections 5.1-5.2). Each pivot column v in turn is
+reflected onto its first coordinate by I - w w^T / div, with w = v +
+copysign(||v||, v_0) e_1, and so is every later column and y; the rows
+after the first then hold them with v's span projected out, in the
+coordinates of its complement. That first row is dropped, so each pivot
+leaves one row fewer, and the residual is the squared norm of y's last
+M - K rows. The pivot norms ||v|| are the factor diagonal |R_jj|, and the
+rank test requires the smallest above RANK_TOL times the largest. One step
+(_householder, then _reflect) serves the walk and the block core alike.
+
+Every score, of the walk or of the block core, is within a relative error
+of 4e-12 of the exact residual sum_s (y^T y - b^T G^{-1} b), G = F_J^T F_J
+and b = F_J^T y, taken in rational arithmetic. tests/test_decoder.py holds
+the 200 smallest and 200 other scores to that bound at four shapes: N=64,
+K=4, M=5, S=2, where the smallest scores lose the most to cancellation
+(5.8e-13 at worst there), N=16, K=2, M=7, S=4, K=1, and M=16 >> K=2.
 
 The exhaustive decoder shares that work across candidates. In lexicographic
 order a candidate's first K-1 columns are shared by all of its siblings, so
-each prefix is deflated once: its state is the columns after its last index
-and y, with the prefix's span projected out, plus the running extremes of
-its pivots. Extending a prefix by one column costs one more deflation of
-the columns that follow. The walk goes depth-first over index tables cached
-per (N, K), in chunks of sibling groups of at most _WALK_SCORES scores
-(a group of leaves with more is cut into parts of that many), and yields
-each leaf chunk's residual energies and rank flags per measurement
-vector. A chunk's parents are consecutive entries of the level above
-(the first and last may have only part of their children in it), so
-np.repeat by their child counts hands each child its parent's
-column, divisor, deflated y and pivot extremes; the one gather left picks
-each child's own column from its parent's siblings, and that gather index
-and the child offsets are all the tables keep (see _prefix_tables). A
-deflation writes its product into the parent columns repeated for it, and
-at a leaf below the root into the candidate's own columns, both
-temporaries nothing reads again; the root columns may be a view of the
-caller's matrices and are never written. Each walk has its own buffer
-set, kept between walks in one process (see _trial_scores): every level
-gathers its children's columns into one buffer and the leaf writes its
-coefficients into another, while the np.repeat outputs stay fresh
-arrays, since repeat has no out= and a take into a buffer is about 2x
-slower. Where a score falls in its chunk can move its last bit only in a
-single-vector walk (see _WALK_SCORES).
+each prefix is reflected once: its state is the columns after its last
+index and y in the M - depth + 1 coordinates of the complement of its
+first depth - 1 columns' span, plus the running extremes of its pivots.
+Extending a prefix by one column costs one more reflection of the columns
+that follow, and drops one more row. The walk goes depth-first over index
+tables cached per (N, K), in chunks of sibling groups of at most
+_WALK_SCORES scores (a group of leaves with more is cut into parts of
+that many), and yields each leaf chunk's residual energies and rank flags
+per measurement vector. A chunk's parents are consecutive entries of the
+level above (the first and last may have only part of their children in
+it), so np.repeat by their child counts hands each child its parent's
+Householder vector, divisor, reflected y and pivot extremes; the one
+gather left picks each child's own column from its parent's siblings, and
+that gather index and the child offsets are all the tables keep (see
+_prefix_tables). A reflection writes its product into the parent vectors
+repeated for it, and at a leaf below the root into the candidate's own
+columns, which become its Householder vectors, all temporaries nothing
+reads again; the root columns may be a view of the caller's matrices and
+are never written. Each walk has its own buffer set, kept between walks in
+one process (see _trial_scores): every level gathers its children's
+columns into one buffer and the leaf writes its coefficients into
+another, while the np.repeat outputs stay fresh arrays, since repeat has
+no out= and a take into a buffer is about 2x slower. Where a score falls
+in its chunk can move its last bit only in a single-vector walk (see
+_WALK_SCORES).
 
 The walk only enumerates, and decode_trials is its one caller. The walk
 does not care which trial a vector belongs to, so it scores a stack of T
@@ -154,7 +169,7 @@ class DecodeOutcome:
     decode_error: bool
 
 
-# ---- Modified Gram-Schmidt core -----------------------------------------
+# ---- Householder core ----------------------------------------------------
 #
 # Every array below keeps the measurement rows on axis 0.
 
@@ -164,33 +179,47 @@ def _sq_norms(v: np.ndarray) -> np.ndarray:
     return np.einsum("i...,i...->...", v, v)
 
 
-def _pivots(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Norms |R_jj| of the pivot columns v, and the divisors that deflate by them.
+def _householder(v: np.ndarray, spent: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Norms |R_jj| of the pivot columns v, their Householder vectors w, and divisors.
 
-    The divisors are the squared norms with zeros replaced by 1: a zero
-    column has no direction, so deflating by it is the identity.
+    v's reflector I - w w^T / div maps v to -h e_1, for h = copysign(||v||,
+    v_0), w = v + h e_1 and div = w^T w / 2 = ||v|| (||v|| + |v_0|), which
+    is h w_0. A zero divisor is replaced by 1: a zero column has no
+    direction, so reflecting by it is the identity on the rows it keeps.
+    A spent v is a temporary its caller is done with, and becomes w; any
+    other v is copied.
     """
-    sq = _sq_norms(v)
-    div = np.where(sq > 0.0, sq, 1.0)
-    return np.sqrt(sq, out=sq), div
+    norms = _sq_norms(v)
+    np.sqrt(norms, out=norms)
+    w = v if spent else v.copy()
+    h = np.copysign(norms, v[0])
+    w[0] += h
+    h *= w[0]
+    return norms, w, np.where(h > 0.0, h, 1.0)
 
 
-def _deflate(
-    cols: np.ndarray,
-    v: np.ndarray,
+def _reflect(
+    u: np.ndarray,
+    w: np.ndarray,
     div: np.ndarray,
     spent: bool = False,
     coef: Optional[np.ndarray] = None,
-) -> None:
-    """One MGS step in place: remove from cols their components along v.
+) -> np.ndarray:
+    """One Householder step in place: reflect u by w's reflector, and drop row 0.
 
-    A spent v is a temporary its caller is done with: it receives the
-    product v * coef instead of a new array. coef, when given, is an array
-    of div's shape that receives the coefficients instead of a new one.
+    Row 0 of the reflected u is its coordinate along the pivot column, so
+    the rows after it are u with that column's span projected out, in the
+    coordinates of its complement: u[1:] - beta w[1:] for beta = w.u / div.
+    They are written into u[1:], a view, which is returned. A spent w is a
+    temporary its caller is done with: w[1:] receives the product
+    w[1:] * beta instead of a new array. coef, when given, is an array of
+    div's shape that receives beta instead of a new one.
     """
-    coef = np.einsum("i...,i...->...", v, cols, out=coef)
+    coef = np.einsum("i...,i...->...", w, u, out=coef)
     coef /= div
-    cols -= np.multiply(v, coef, out=v if spent else None)
+    rest = u[1:]
+    rest -= np.multiply(w[1:], coef, out=w[1:] if spent else None)
+    return rest
 
 
 def _rank_ok(pivot_min: np.ndarray, pivot_max: np.ndarray) -> np.ndarray:
@@ -202,12 +231,15 @@ def residual_energies(blocks: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, n
     """Residual energies for a stack of (m, k) blocks and length-m vectors.
 
     blocks has shape (..., m, k) and ys shape (..., m); returns arrays of
-    shape (...) with the residual energies and the rank-ok flags. Modified
-    Gram-Schmidt on the augmented matrix [block y] deflates every later
-    column by each pivot in turn; the residual is the squared norm of the
-    fully deflated y and the pivots are the deflated column norms |R_jj|.
+    shape (...) with the residual energies and the rank-ok flags. Householder
+    QR of the augmented matrix [block y]: pivot j reflects rows j: of every
+    later column by column j's reflector (_reflect), so the rows after j
+    hold the later columns with the first j+1 columns' span projected out.
+    The residual is the squared norm of y's last m - k rows, none for a
+    square block, and the pivots are the reflected column norms |R_jj|.
     An (m, 0) block spans nothing and has full column rank 0, so it leaves
-    ||y||^2 and passes the rank test.
+    ||y||^2 and passes the rank test. Raises RankDeficientError for m < k,
+    where no block can have column rank k.
 
     The whole stack goes through one (m, k+1, count) work array. A block's
     bits do not depend on the stack it is in: each block goes through the
@@ -222,16 +254,18 @@ def residual_energies(blocks: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, n
         raise InvalidDimensionError(
             f"measurement stack shape {ys.shape} does not match blocks {blocks.shape}"
         )
+    if m < k:
+        raise RankDeficientError(f"blocks of shape {(m, k)} cannot have column rank {k}")
     count = math.prod(lead)
     work = np.empty((m, k + 1, count))
     work[:, :k] = blocks.reshape(count, m, k).transpose(1, 2, 0)
     work[:, k] = ys.reshape(count, m).T
     pivots = np.empty((k, count))
     for j in range(k):
-        pivots[j], div = _pivots(work[:, j])
+        pivots[j], w, div = _householder(work[j:, j], spent=True)
         for c in range(j + 1, k + 1):
-            _deflate(work[:, c], work[:, j], div)
-    resid = _sq_norms(work[:, k])
+            _reflect(work[j:, c], w, div)
+    resid = _sq_norms(work[k:, k])
     rank_ok = _rank_ok(pivots.min(axis=0, initial=np.inf), pivots.max(axis=0, initial=0.0))
     return resid.reshape(lead), rank_ok.reshape(lead)
 
@@ -239,10 +273,12 @@ def residual_energies(blocks: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, n
 def projection_residual(f_block: np.ndarray, y: np.ndarray) -> float:
     """Energy of y left after projecting onto the column span of f_block.
 
-    Computed as the squared norm of y after modified Gram-Schmidt deflation
-    by every column of f_block, so no Gram matrix is formed. Raises
-    RankDeficientError when the numerical column rank is below k (smallest
-    deflated column norm under RANK_TOL times the largest).
+    residual_energies on a stack of one: the squared norm of y's last
+    m - k rows after a Householder reflection by every column of f_block,
+    so no Gram matrix is formed, and exactly 0.0 for a square block.
+    Raises RankDeficientError when the numerical column rank is below k
+    (smallest reflected column norm under RANK_TOL times the largest), or
+    when m < k.
     """
     f_block = np.asarray(f_block, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -250,9 +286,6 @@ def projection_residual(f_block: np.ndarray, y: np.ndarray) -> float:
         raise InvalidDimensionError(
             f"expected (m, k) block and length-m vector, got {f_block.shape} and {y.shape}"
         )
-    m, k = f_block.shape
-    if m < k:
-        raise RankDeficientError(f"block of shape {f_block.shape} cannot have column rank {k}")
     resid, rank_ok = residual_energies(f_block[None], y[None])
     if not rank_ok[0]:
         raise RankDeficientError("sensing block is numerically rank-deficient")
@@ -397,30 +430,33 @@ def _walk(tables, depth, lo, v, ry, pivot_min, pivot_max, counts, bufs):
 
     The block is entries lo, lo+1, ... of level depth, the children of a run
     of consecutive parent prefixes, and counts holds how many of them each
-    parent has (zero for some). v (m, s, b) holds, for each prefix x, column
-    x[-1] of every sensing matrix with the span of x[:-1] projected out; its
-    norms are the pivots |R_jj| of x[-1]. ry (m, s, p), pivot_min and
-    pivot_max (s, p) hold the deflated measurements and the running pivot
-    extremes of the parents, which np.repeat by counts lines up with their
-    children. v is never written at depth 1, where it may be a view of the
-    caller's matrices; below it, the leaf's v is spent on its one deflation.
-    bufs is the walk's buffer set: each level gathers its children's
-    columns into ("child", depth), and the leaf takes its coefficients from
-    "coef". Yields (first candidate index, values, rank-ok flags) chunk by
-    chunk in lexicographic order, both of shape (s, candidates): one row
-    per measurement vector.
+    parent has (zero for some). v (r, s, b), r = m - depth + 1, holds, for
+    each prefix x, column x[-1] of every sensing matrix reflected by the
+    columns of x[:-1], in the complement of their span; its norms are the
+    pivots |R_jj| of x[-1]. ry (r, s, p), pivot_min and pivot_max (s, p)
+    hold the parents' measurements, reflected the same way, and running
+    pivot extremes, which np.repeat by counts lines up with their children.
+    Each level reflects by v's Householder vectors, a copy of v, and hands
+    its children r - 1 rows. v is never written at depth 1, where it may
+    be a view of the caller's matrices; below it, the leaf's v is spent on
+    its one reflection. bufs is the walk's buffer set: each level gathers
+    its children's columns into ("child", depth), and the leaf takes its
+    coefficients from "coef". Yields (first candidate index, values,
+    rank-ok flags) chunk by chunk in lexicographic order, both of shape
+    (s, candidates): one row per measurement vector.
     """
-    norms, div = _pivots(v)
+    leaf = depth > len(tables)
+    norms, w, div = _householder(v, spent=leaf and depth > 1)
     pivot_min = np.repeat(pivot_min, counts, axis=1)
     np.minimum(pivot_min, norms, out=pivot_min)
     pivot_max = np.repeat(pivot_max, counts, axis=1)
     np.maximum(pivot_max, norms, out=pivot_max)
     ry = np.repeat(ry, counts, axis=2)
-    if depth > len(tables):
-        _deflate(ry, v, div, spent=depth > 1, coef=_buffer(bufs, "coef", div.shape))
+    if leaf:
+        ry = _reflect(ry, w, div, spent=True, coef=_buffer(bufs, "coef", div.shape))
         yield lo, _sq_norms(ry), _rank_ok(pivot_min, pivot_max)
         return
-    _deflate(ry, v, div)
+    ry = _reflect(ry, w, div)
     off, unc = tables[depth - 1]
     size = max(1, _WALK_SCORES // v.shape[1])
     split = depth == len(tables)  # the children are leaves
@@ -431,8 +467,8 @@ def _walk(tables, depth, lo, v, ry, pivot_min, pivot_max, counts, bufs):
         # directly; the default mode="raise" gathers into a temporary first
         child = _buffer(bufs, ("child", depth), v.shape[:2] + (c_hi - c_lo,))
         np.take(v, unc[c_lo:c_hi] - lo, axis=2, out=child, mode="clip")
-        rep = np.repeat(v[:, :, parents], counts, axis=2)
-        _deflate(child, rep, np.repeat(div[:, parents], counts, axis=1), spent=True)
+        rep = np.repeat(w[:, :, parents], counts, axis=2)
+        child = _reflect(child, rep, np.repeat(div[:, parents], counts, axis=1), spent=True)
         del rep  # spent, and not held across the recursion
         state = ry[:, :, parents], pivot_min[:, parents], pivot_max[:, parents]
         yield from _walk(tables, depth + 1, c_lo, child, *state, counts, bufs)
@@ -455,7 +491,7 @@ def _trial_scores(matrices: np.ndarray, measurements: np.ndarray, k: int):
     t, s, m, n = matrices.shape
     vectors = t * s
     # level 1 is the raw columns, the n children of the empty prefix, which
-    # deflates nothing and has no pivots: running min +inf, running max 0
+    # reflects nothing and has no pivots: running min +inf, running max 0
     ft = np.ascontiguousarray(matrices.reshape(vectors, m, n).transpose(1, 0, 2))
     root = measurements.reshape(vectors, m).T[:, :, None]
     pivot_min, pivot_max = np.full((vectors, 1), np.inf), np.zeros((vectors, 1))

@@ -23,11 +23,12 @@ walk of the decoder per sub-block. Matrices and noise are sequential
 standard-normal draws, so the sub-block size does not change them;
 redrawn signals are drawn once per seed block. A map over the (plan, seed
 block) units of a run, whether one plan, a whole sweep or one probe of
-find_M_star, has min(jobs, units) workers. The calling process is worker
-0 and forks the others (_fork_join); every worker claims the next
-unclaimed unit from one shared list until none is left. The counters of
-each plan are summed in plan order. A sweep returns one row per plan in
-the caller's order; the jsm2lab sweep command orders its grid.
+find_M_star, has min(jobs, units, usable CPUs) workers. The calling
+process is worker 0 and forks the others (_fork_join); every worker
+claims the next unclaimed unit from one shared list until none is left.
+The counters of each plan are summed in plan order. A sweep returns one
+row per plan in the caller's order; the jsm2lab sweep command orders its
+grid.
 """
 
 from __future__ import annotations
@@ -179,8 +180,9 @@ def _signals(plan: TrialPlan, support: SupportSet, trials: int, block: int) -> n
     """The (trials * S, N) signal array of one seed block's trials, S rows per trial.
 
     A pinned signal is drawn once from stream index 0 and tiled; redrawn
-    signals come from the block's stream in one call, since the sampler
-    draws every sign before any magnitude and a split would move them.
+    signals are the sampler's own array, drawn from the block's stream in
+    one call, since the sampler draws every sign before any magnitude and a
+    split would move them.
     """
     p = plan.params
     if plan.fix_signal:
@@ -190,7 +192,7 @@ def _signals(plan: TrialPlan, support: SupportSet, trials: int, block: int) -> n
     x = sample_sparse_ensemble(
         support, draws * p.s, p.x_min, plan.amplitude_mode, plan.x_max, seed=rng
     )
-    return np.tile(x, (trials // draws, 1))
+    return np.tile(x, (trials, 1)) if plan.fix_signal else x
 
 
 def _run_block(args: Tuple[TrialPlan, int]) -> np.ndarray:
@@ -317,18 +319,30 @@ def _fork_join(units: Sequence[Tuple[TrialPlan, int]], workers: int) -> List[np.
     return [done[i] for i in range(len(units))]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or the CPU count where that is missing."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_plans(plans: Sequence[TrialPlan], jobs: int) -> List[RunResult]:
     """The event-rate estimates of every plan, in plan order.
 
     Every (plan, seed block) unit of the run goes to one map over
-    min(jobs, units) workers, this process and forked ones (_fork_join),
-    which forks none for one worker. Budgets are the caller's to check
-    first. Raises InvalidRangeError for jobs < 1, whatever the work.
+    min(jobs, units, usable CPUs) workers, this process and forked ones
+    (_fork_join), which forks none for one worker; jobs above the usable
+    CPUs warn. Budgets are the caller's to check first. Raises
+    InvalidRangeError for jobs < 1, whatever the work.
     """
     if jobs < 1:
         raise InvalidRangeError(f"jobs must be >= 1, got {jobs}")
+    cpus = _usable_cpus()
+    if jobs > cpus:
+        warnings.warn(f"jobs={jobs} exceeds the usable CPUs, {cpus}; workers are capped at {cpus}")
     units = [(plan, block) for plan in plans for block in range(_blocks(plan))]
-    workers = min(jobs, len(units))
+    workers = min(jobs, len(units), cpus)
     if workers > 1 and not hasattr(os, "fork"):
         warnings.warn(f"no os.fork here: {len(units)} seed blocks run in this process only")
         workers = 1
@@ -404,8 +418,8 @@ MC_CSV_COLUMNS = [column for column, _ in _SWEEP_COLUMNS]
 def sweep(plans: Sequence[TrialPlan], jobs: int = 1) -> List[SweepRow]:
     """Run every plan and join estimates with analytic bounds, one row per plan in order.
 
-    The seed blocks of all grid points are one map over min(jobs, blocks)
-    workers. A grid point that cannot run (C(N, K) over the decoder's
+    The seed blocks of all grid points are one map over min(jobs, blocks,
+    usable CPUs) workers. A grid point that cannot run (C(N, K) over the decoder's
     ENUMERATION_CAP) or has no bound (inadmissible slack, ...) becomes a
     row with the error recorded instead of aborting the remaining points;
     run-level failures (a bad jobs count, a worker process that dies)
@@ -497,8 +511,8 @@ def find_M_star(plan: TrialPlan, target: float, jobs: int = 1) -> MStarResult:
     across calls share their randomness. Assumes the failure
     rate is non-increasing in M; when the evaluated estimates violate that,
     the result flags it and the bracket is what bisection actually pinned
-    down. Each probe is one map over min(jobs, seed blocks) workers, the
-    forked ones started afresh for that probe.
+    down. Each probe is one map over min(jobs, seed blocks, usable CPUs)
+    workers, the forked ones started afresh for that probe.
     """
     if not 0.0 < target <= 1.0:
         raise InvalidRangeError(f"target must lie in (0, 1], got {target}")

@@ -362,10 +362,51 @@ class TestCommands:
         assert main(argv + ["--jobs", "1"]) == 0
         expected = capsys.readouterr().out
         monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert main(argv + ["--jobs", "2"]) == 0
         captured = capsys.readouterr()
         assert captured.out == expected
         assert captured.err.startswith("warning: no os.fork") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "8", "--k", "2", "--m", "5", "--s", "2", "--snr", "4"],
+        ["find-m", "--n", "10", "--k", "2", "--s", "8", "--snr", "30", "--target", "0.1"],
+    ])
+    def test_jobs_above_the_usable_cpus_warn_once_and_fork_no_more(self, argv, monkeypatch, capsys):
+        # three seed blocks per map, and one usable CPU: nothing is forked
+        argv = argv + ["--trials", "600", "--seed", "9"]
+        assert main(argv + ["--jobs", "1"]) == 0
+        expected = capsys.readouterr().out
+
+        def fork():
+            raise AssertionError("forked a worker on one usable CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(argv + ["--jobs", "1000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == "warning: jobs=1000 exceeds the usable CPUs, 1; workers are capped at 1\n"
+
+    def test_a_refused_fork_exits_1_with_every_child_reaped(self, monkeypatch, capsys):
+        forks, fork = [], os.fork
+
+        def second_fork_refused():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", second_fork_refused)
+        # three seed blocks on three CPUs: two forks, and the second fails
+        rc = main(["simulate", "--n", "6", "--k", "2", "--m", "4", "--s", "1",
+                   "--trials", "600", "--jobs", "3"])
+        captured = capsys.readouterr()
+        assert rc == 1 and len(forks) == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
         "flags, code",

@@ -40,10 +40,13 @@ class TestProjectionResidual:
         assert projection_residual(f, y) == pytest.approx(9.0 + 16.0)
 
     def test_square_invertible_gives_zero(self):
+        # the residual is a norm over the m - k = 0 rows left after k reflections
         rng = np.random.default_rng(5)
         f = rng.standard_normal((4, 4))
         y = rng.standard_normal(4)
-        assert projection_residual(f, y) == pytest.approx(0.0, abs=1e-10)
+        assert projection_residual(f, y) == 0.0
+        resid, rank_ok = decoder.residual_energies(rng.standard_normal((3, 5, 5)), rng.standard_normal((3, 5)))
+        assert resid.tolist() == [0.0, 0.0, 0.0] and rank_ok.all()
 
     def test_matches_dense_formula(self):
         rng = np.random.default_rng(17)
@@ -65,6 +68,8 @@ class TestProjectionResidual:
     def test_wide_block_rejected(self):
         with pytest.raises(RankDeficientError):
             projection_residual(np.ones((2, 3)), np.ones(2))
+        with pytest.raises(RankDeficientError):
+            decoder.residual_energies(np.ones((4, 2, 3)), np.ones((4, 2)))
 
     def test_empty_block_leaves_y(self):
         # an (m, 0) block spans nothing and has full column rank 0
@@ -554,12 +559,13 @@ class TestDecodeTrials:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_walk_never_writes_its_inputs(self, k):
         # with one vector the walk's root columns are a view of the matrices,
-        # and at K=1 they are also the candidates the leaf deflates by
+        # and at K=1 they are also the candidates the leaf reflects by: a
+        # write through their rows 1: would show here
         sup, _, f, y, p = _instance(8, k, 5, 1, 0.5, 1.0)
         matrices, measurements = np.array(f.matrices[None]), np.array(y.measurements[None])
         decode_trials(matrices, measurements, p, sup)
-        np.testing.assert_array_equal(matrices, f.matrices[None])
-        np.testing.assert_array_equal(measurements, y.measurements[None])
+        assert matrices.tobytes() == f.matrices.tobytes()
+        assert measurements.tobytes() == y.measurements.tobytes()
 
     def test_read_only_ensembles_at_one_column_and_one_vector(self):
         sup, _, f, y, p = _instance(8, 1, 5, 1, 0.5, 1.0)

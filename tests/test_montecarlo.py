@@ -65,6 +65,16 @@ def forks_per_map(monkeypatch):
     return maps
 
 
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Pin the CPUs the process may run on, as os.sched_getaffinity reports them."""
+
+    def pin(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    return pin
+
+
 def assert_no_children_left():
     """No child of this process is running or left as a zombie."""
     with pytest.raises(ChildProcessError):
@@ -284,6 +294,21 @@ class TestBatchedBlock:
         assert counts[0] == counts[1] == counts[2]
         assert 0 < counts[0][0] < 200
 
+    @pytest.mark.parametrize("signal", sorted(SIGNALS))
+    def test_redrawn_signals_are_the_samplers_array(self, monkeypatch, signal):
+        drawn = []
+
+        def sampler(*args, **kwargs):
+            drawn.append(sample_sparse_ensemble(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(montecarlo, "sample_sparse_ensemble", sampler)
+        plan = TrialPlan(ProblemParams(**self.POINTS[2]), trials=30, master_seed=5, **self.SIGNALS[signal])
+        signals = montecarlo._signals(plan, montecarlo._pinned_support(plan), 30, 0)
+        assert signals.shape == (30 * plan.params.s, plan.params.n)
+        # a pinned signal is tiled into a new array; redrawn ones are not copied
+        assert np.shares_memory(signals, drawn[0]) == (not plan.fix_signal)
+
     def test_seed_blocks_draw_different_matrices(self):
         plan = TrialPlan(ProblemParams(**self.POINTS[2]), trials=512, master_seed=3)
         (_, first), (_, second) = (_block_instances(plan, b) for b in (0, 1))
@@ -392,7 +417,12 @@ _OVER_BUDGET = ProblemParams(n=40, k=10, m=20, s=1, sigma2=1.0, xmin2=1.0)
 
 
 class TestWorkerPool:
-    """A map over n seed blocks forks min(jobs, n) - 1 children, and none for one block."""
+    """A map over n seed blocks forks min(jobs, n, usable CPUs) - 1 children, and none for one block."""
+
+    @pytest.fixture(autouse=True)
+    def _cpus(self, usable_cpus):
+        # more CPUs than any jobs below, on any host, unless a test pins fewer
+        usable_cpus(6)
 
     # 300 trials are two seed blocks, 100 one; a grid point over the budget has none
     @pytest.mark.parametrize(
@@ -420,6 +450,21 @@ class TestWorkerPool:
         # 600 trials are three seed blocks
         assert run_trials(_small_plan(600), jobs=jobs) == run_trials(_small_plan(600), jobs=1)
         assert forks_per_map == [children, 0]
+
+    @pytest.mark.parametrize("cpus, children", [(1, 0), (2, 1)])
+    def test_children_are_capped_by_the_usable_cpus(self, cpus, children, usable_cpus, forks_per_map):
+        # 600 trials are three seed blocks
+        usable_cpus(cpus)
+        with pytest.warns(UserWarning, match=f"jobs=3 exceeds the usable CPUs, {cpus};") as caught:
+            assert run_trials(_small_plan(600), jobs=3) == run_trials(_small_plan(600), jobs=1)
+        assert len(caught) == 1 and forks_per_map == [children, 0]
+
+    def test_the_cpu_count_stands_in_for_a_missing_affinity(self, monkeypatch, forks_per_map):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        with pytest.warns(UserWarning, match="usable CPUs, 1;"):
+            run_trials(_small_plan(600), jobs=2)
+        assert forks_per_map == [0]
 
     @pytest.mark.parametrize("run, work", [(sweep, []), (run_trials, _small_plan(100))])
     def test_jobs_below_one_is_refused_whatever_the_work(self, run, work):
@@ -460,7 +505,9 @@ class TestForkJoin:
     """Failures in a forked map reach the caller, and every child is reaped."""
 
     @pytest.fixture(autouse=True)
-    def _pipes(self):
+    def _pipes(self, usable_cpus):
+        # jobs=3 forks two children on any host
+        usable_cpus(3)
         self.pipes = ()
         yield
         for fd in self.pipes:

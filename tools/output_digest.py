@@ -8,9 +8,10 @@ file: the sha256, the exit code for a stdout, and a label. Before a sweep
 sidecar is hashed its time fields (created_unix, wall_time_s) are dropped.
 A '#' line first names the numpy version: the Monte Carlo and verify
 bytes depend on numpy. They do not depend on the CPU kernel that
-OpenBLAS picks at load time: verify's dense projector reference is a
-Householder QR in elementwise numpy, sample_quadform sums its rows with
-einsum, and the one BLAS call left on a printed path,
+OpenBLAS picks at load time: verify's projector reference is modified
+Gram-Schmidt with re-orthogonalization (MGS2) in elementwise numpy,
+sample_quadform sums its rows with einsum, and the one BLAS call left on
+a printed path,
 laurent_massart_check's np.linalg.norm, is exact at verify's unit
 weights in any order;
 tests/test_output_digests.py checks the verify runs and sweep-m under
