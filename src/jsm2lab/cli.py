@@ -392,15 +392,14 @@ def _mgs2_residual(block: np.ndarray, y: np.ndarray) -> float:
     elementwise numpy (sum reductions and broadcasting), so no BLAS or
     LAPACK kernel, which OpenBLAS picks by CPU, rounds the printed value.
     """
-    basis: List[np.ndarray] = []
-    for a in [*block.T, y]:
-        a = a.copy()
+    cols = [c.copy() for c in (*block.T, y)]
+    for j, a in enumerate(cols):
         for _ in range(2):
-            for q in basis:
+            for q in cols[:j]:
                 a -= q * (q * a).sum()
-        if len(basis) == block.shape[1]:
-            return float((a * a).sum())
-        basis.append(a / math.sqrt((a * a).sum()))
+        if j < block.shape[1]:
+            a /= math.sqrt((a * a).sum())
+    return float((cols[-1] * cols[-1]).sum())
 
 
 class _Call(threading.Thread):

@@ -319,14 +319,6 @@ def _fork_join(units: Sequence[Tuple[TrialPlan, int]], workers: int) -> List[np.
     return [done[i] for i in range(len(units))]
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, or the CPU count where that is missing."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _run_plans(plans: Sequence[TrialPlan], jobs: int) -> List[RunResult]:
     """The event-rate estimates of every plan, in plan order.
 
@@ -338,7 +330,10 @@ def _run_plans(plans: Sequence[TrialPlan], jobs: int) -> List[RunResult]:
     """
     if jobs < 1:
         raise InvalidRangeError(f"jobs must be >= 1, got {jobs}")
-    cpus = _usable_cpus()
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity sets on this platform
+        cpus = os.cpu_count() or 1
     if jobs > cpus:
         warnings.warn(f"jobs={jobs} exceeds the usable CPUs, {cpus}; workers are capped at {cpus}")
     units = [(plan, block) for plan in plans for block in range(_blocks(plan))]
@@ -419,11 +414,11 @@ def sweep(plans: Sequence[TrialPlan], jobs: int = 1) -> List[SweepRow]:
     """Run every plan and join estimates with analytic bounds, one row per plan in order.
 
     The seed blocks of all grid points are one map over min(jobs, blocks,
-    usable CPUs) workers. A grid point that cannot run (C(N, K) over the decoder's
-    ENUMERATION_CAP) or has no bound (inadmissible slack, ...) becomes a
-    row with the error recorded instead of aborting the remaining points;
-    run-level failures (a bad jobs count, a worker process that dies)
-    propagate.
+    usable CPUs) workers. A grid point that cannot run (C(N, K) over the
+    decoder's ENUMERATION_CAP) or has no bound (inadmissible slack, ...)
+    becomes a row with the error recorded instead of aborting the remaining
+    points; run-level failures (a bad jobs count, a worker process that
+    dies) propagate.
     """
     budget_errors: List[Optional[str]] = []
     for plan in plans:
