@@ -29,12 +29,13 @@ M - K rows. The pivot norms ||v|| are the factor diagonal |R_jj|, and the
 rank test requires the smallest above RANK_TOL times the largest. One step
 (_householder, then _reflect) serves the walk and the block core alike.
 
-Every score, of the walk or of the block core, is within a relative error
-of 4e-12 of the exact residual sum_s (y^T y - b^T G^{-1} b), G = F_J^T F_J
-and b = F_J^T y, taken in rational arithmetic. tests/test_decoder.py holds
-the 200 smallest and 200 other scores to that bound at four shapes: N=64,
-K=4, M=5, S=2, where the smallest scores lose the most to cancellation
-(5.8e-13 at worst there), N=16, K=2, M=7, S=4, K=1, and M=16 >> K=2.
+A candidate's score, from the walk or summed in order from the block
+core's S residuals, is within a relative error of 4e-12 of the exact
+sum_s (y^T y - b^T G^{-1} b), G = F_J^T F_J and b = F_J^T y, taken in
+rational arithmetic. tests/test_decoder.py holds the 200 smallest and
+200 other scores to that bound at four shapes: N=64, K=4, M=5, S=2, where
+the smallest scores lose the most to cancellation (5.8e-13 at worst
+there), N=16, K=2, M=7, S=4, K=1, and M=16 >> K=2.
 
 The exhaustive decoder shares that work across candidates. In lexicographic
 order a candidate's first K-1 columns are shared by all of its siblings, so

@@ -45,7 +45,8 @@ class TestProjectionResidual:
         f = rng.standard_normal((4, 4))
         y = rng.standard_normal(4)
         assert projection_residual(f, y) == 0.0
-        resid, rank_ok = decoder.residual_energies(rng.standard_normal((3, 5, 5)), rng.standard_normal((3, 5)))
+        blocks, ys = rng.standard_normal((3, 5, 5)), rng.standard_normal((3, 5))
+        resid, rank_ok = decoder.residual_energies(blocks, ys)
         assert resid.tolist() == [0.0, 0.0, 0.0] and rank_ok.all()
 
     def test_matches_dense_formula(self):
@@ -125,7 +126,12 @@ class TestScoreAccuracy:
     # P5; the sweep-fanout benchmark's point at M=7; K=1; M >> K
     @pytest.mark.parametrize(
         "n, k, m, s, t, sigma2",
-        [(64, 4, 5, 2, 1, 1.0), (16, 2, 7, 4, 4, 0.01), (40, 1, 3, 3, 12, 0.1), (24, 2, 16, 2, 2, 0.1)],
+        [
+            (64, 4, 5, 2, 1, 1.0),
+            (16, 2, 7, 4, 4, 0.01),
+            (40, 1, 3, 3, 12, 0.1),
+            (24, 2, 16, 2, 2, 0.1),
+        ],
     )
     def test_walk_and_block_scores_against_exact_residuals(self, n, k, m, s, t, sigma2):
         rng = np.random.default_rng(3)
@@ -134,7 +140,8 @@ class TestScoreAccuracy:
         f = sample_sensing(m, n, t * s, rng)
         matrices = f.matrices.reshape(t, s, m, n)
         measurements = measure(x, f, sigma2, rng).measurements.reshape(t, s, m)
-        scores = np.concatenate([v for _, v, _ in decoder._trial_scores(matrices, measurements, k)], axis=1)
+        walk = decoder._trial_scores(matrices, measurements, k)
+        scores = np.concatenate([value for _, value, _ in walk], axis=1)
         # the 200 smallest scores, where cancellation is worst, and 200 others
         picks = np.concatenate(
             [np.argsort(scores, axis=None)[:200], rng.choice(scores.size, 200, replace=False)]

@@ -295,7 +295,7 @@ class TestBatchedBlock:
         assert 0 < counts[0][0] < 200
 
     @pytest.mark.parametrize("signal", sorted(SIGNALS))
-    def test_redrawn_signals_are_the_samplers_array(self, monkeypatch, signal):
+    def test_only_a_pinned_signal_is_copied(self, monkeypatch, signal):
         drawn = []
 
         def sampler(*args, **kwargs):
@@ -303,7 +303,8 @@ class TestBatchedBlock:
             return drawn[-1]
 
         monkeypatch.setattr(montecarlo, "sample_sparse_ensemble", sampler)
-        plan = TrialPlan(ProblemParams(**self.POINTS[2]), trials=30, master_seed=5, **self.SIGNALS[signal])
+        params = ProblemParams(**self.POINTS[2])
+        plan = TrialPlan(params, trials=30, master_seed=5, **self.SIGNALS[signal])
         signals = montecarlo._signals(plan, montecarlo._pinned_support(plan), 30, 0)
         assert signals.shape == (30 * plan.params.s, plan.params.n)
         # a pinned signal is tiled into a new array; redrawn ones are not copied
@@ -417,7 +418,7 @@ _OVER_BUDGET = ProblemParams(n=40, k=10, m=20, s=1, sigma2=1.0, xmin2=1.0)
 
 
 class TestWorkerPool:
-    """A map over n seed blocks forks min(jobs, n, usable CPUs) - 1 children, and none for one block."""
+    """A map over n seed blocks forks min(jobs, n, usable CPUs) - 1 children, none for one block."""
 
     @pytest.fixture(autouse=True)
     def _cpus(self, usable_cpus):
@@ -452,7 +453,9 @@ class TestWorkerPool:
         assert forks_per_map == [children, 0]
 
     @pytest.mark.parametrize("cpus, children", [(1, 0), (2, 1)])
-    def test_children_are_capped_by_the_usable_cpus(self, cpus, children, usable_cpus, forks_per_map):
+    def test_children_are_capped_by_the_usable_cpus(
+        self, cpus, children, usable_cpus, forks_per_map
+    ):
         # 600 trials are three seed blocks
         usable_cpus(cpus)
         with pytest.warns(UserWarning, match=f"jobs=3 exceeds the usable CPUs, {cpus};") as caught:
