@@ -441,11 +441,11 @@ def _walk(tables, depth, lo, v, ry, pivot_min, pivot_max, counts, bufs):
     Each level reflects by its Householder vectors w, built in a copy of v,
     and hands its children r - 1 rows. v is never written at depth 1, where
     it may be a view of the caller's matrices; below it, the leaf's v
-    becomes w and is spent on its one reflection. bufs is the walk's buffer set: each level gathers
-    its children's columns into ("child", depth), and the leaf takes its
-    coefficients from "coef". Yields (first candidate index, values,
-    rank-ok flags) chunk by chunk in lexicographic order, both of shape
-    (s, candidates): one row per measurement vector.
+    becomes w and is spent on its one reflection. bufs is the walk's buffer
+    set: each level gathers its children's columns into ("child", depth),
+    and the leaf takes its coefficients from "coef". Yields (first
+    candidate index, values, rank-ok flags) chunk by chunk in lexicographic
+    order, both of shape (s, candidates): one row per measurement vector.
     """
     leaf = depth > len(tables)
     norms, w, div = _householder(v, spent=leaf and depth > 1)
